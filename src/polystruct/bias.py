@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InputError
-from .ffpoly import MultiPoly, points_lex
+from .errors import InputError
+from .ffpoly import MultiPoly, cube_corners, points_lex
 
 RNG_ALGORITHM = "pcg64"
 
-EXACT_TOL = 1e-9
+BIAS_TOL = 1e-9  # slack when comparing a bias magnitude with a threshold p^-s
 
 
 def unit_phases(p: int) -> tuple[complex, ...]:
@@ -42,37 +42,15 @@ class CharacterSum:
         return complex(self.re, self.im)
 
 
-def exact_bias(f: MultiPoly, caps: Caps = DEFAULT_CAPS, workers: int = 1) -> CharacterSum:
-    """E_x[e(f(x))] over the full domain, summed in lexicographic order.
-
-    With workers > 1 the domain is split into that many contiguous chunks
-    whose partial sums are merged pairwise in chunk order; the result is
-    deterministic for a fixed worker count.
-    """
+def exact_bias(f: MultiPoly, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
+    """E_x[e(f(x))] over the full domain, summed in lexicographic order."""
     size = f.p ** f.n
-    if size > caps.enum_cap:
-        raise CapExceeded(
-            f"p^n = {size} exceeds enumeration cap {caps.enum_cap}; use sampled_bias"
-        )
+    caps.require("enum_cap", size)
     phases = unit_phases(f.p)
     table = f.eval_table()
-    if workers <= 1:
-        total = 0j
-        for v in table:
-            total += phases[v]
-    else:
-        bounds = [round(i * size / workers) for i in range(workers + 1)]
-        sums = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            chunk = 0j
-            for v in table[lo:hi]:
-                chunk += phases[v]
-            sums.append(chunk)
-        while len(sums) > 1:
-            sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + (
-                [sums[-1]] if len(sums) % 2 else []
-            )
-        total = sums[0]
+    total = 0j
+    for v in table:
+        total += phases[v]
     mean = total / size
     return CharacterSum(mean.real, mean.imag, 0)
 
@@ -125,10 +103,7 @@ def gowers_norm(
         raise InputError("d must be >= 1")
     p, n = f.p, f.n
     if mode == "exact":
-        if p ** (n * (d + 1)) > caps.enum_cap:
-            raise CapExceeded(
-                f"p^(n(d+1)) = {p ** (n * (d + 1))} exceeds cap {caps.enum_cap}"
-            )
+        caps.require("enum_cap", p ** (n * (d + 1)))
         size = p ** n
         table = np.array(f.eval_table(), dtype=np.int64)
         shift = _shift_index_table(p, n)
@@ -162,16 +137,10 @@ def gowers_norm(
         phases = unit_phases(p)
         total = 0j
         for _ in range(samples):
-            x = rng.integers(0, p, size=n)
-            ys = rng.integers(0, p, size=(d, n))
             val = 0
-            for m in range(1 << d):
-                pt = x.copy()
-                for j in range(d):
-                    if m >> j & 1:
-                        pt = pt + ys[j]
+            for m, pt in enumerate(cube_corners(rng, p, n, d)):
                 sign = (-1) ** (d - bin(m).count("1"))
-                val += sign * f.eval(tuple(int(v) % p for v in pt))
+                val += sign * f.eval(pt)
             total += phases[val % p]
         mean = total / samples
     else:

@@ -27,7 +27,7 @@ from .errors import (
     InternalConsistencyError,
     PolystructError,
 )
-from .ffpoly import FieldCtx, MultiPoly, extend_variables, parse_poly, poly_to_str
+from .ffpoly import FieldCtx, MultiPoly, extend_variables, graded_key, parse_poly, poly_to_str
 
 SCHEMA = "polystruct/1"
 
@@ -51,7 +51,6 @@ class RunConfig:
     seed: int
     caps: Caps
     fmt: str
-    workers: int
 
 
 def _read_polys(raw: str) -> list[str]:
@@ -77,7 +76,6 @@ def _build_caps(args) -> Caps:
         codeword_cap=args.cap_codewords,
         unknowns_cap=args.cap_unknowns,
         reduced_scan_cap=args.cap_reduced,
-        retry_budget=args.cap_retries,
     )
 
 
@@ -125,10 +123,9 @@ def _gamma_payload(table, caps: Caps) -> dict | list:
     if table.p ** table.arity <= caps.search_cap and table.is_total():
         return table.to_flat()
     return {
-        "entries": sorted(
-            ([list(k), v] for k, v in table.entries.items()),
-            key=lambda kv: (sum(kv[0]), kv[0]),
-        ),
+        "entries": [
+            [list(k), table.entries[k]] for k in sorted(table.entries, key=graded_key)
+        ],
         "default": table.default,
     }
 
@@ -136,7 +133,7 @@ def _gamma_payload(table, caps: Caps) -> dict | list:
 def _cmd_bias(args, run: RunConfig, out) -> int:
     f = parse_poly(args.poly, args.p, args.n)
     if args.mode == "exact":
-        cs = bias_mod.exact_bias(f, run.caps, workers=run.workers)
+        cs = bias_mod.exact_bias(f, run.caps)
         seed = None
     else:
         cs = bias_mod.sampled_bias(f, args.samples, run.seed, run.caps)
@@ -466,14 +463,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=int, required=True, help="prime modulus")
     parser.add_argument("--n", type=int, default=None, help="variable count")
     parser.add_argument("--seed", default="0", help="64-bit seed or 'auto'")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--format", choices=["json", "text", "csv"], default="json")
     parser.add_argument("--cap-enum", type=int, default=Caps.enum_cap)
     parser.add_argument("--cap-search", type=int, default=Caps.search_cap)
     parser.add_argument("--cap-codewords", type=int, default=Caps.codeword_cap)
     parser.add_argument("--cap-unknowns", type=int, default=Caps.unknowns_cap)
     parser.add_argument("--cap-reduced", type=int, default=Caps.reduced_scan_cap)
-    parser.add_argument("--cap-retries", type=int, default=Caps.retry_budget)
 
 
 def build_parser() -> _Parser:
@@ -595,7 +590,6 @@ def dispatch(argv: list[str], out=None) -> int:
             seed=_resolve_seed(args.seed),
             caps=_build_caps(args),
             fmt=args.format,
-            workers=args.workers,
         )
         return args.func(args, run, out)
     except _UsageError as exc:

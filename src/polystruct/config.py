@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from .errors import CapExceeded, InputError
 
 
 @dataclass(frozen=True)
@@ -14,7 +16,19 @@ class Caps:
     codeword_cap: int = 10**6      # Reed-Muller codewords enumerated
     unknowns_cap: int = 5000       # certificate unknowns per cofactor
     reduced_scan_cap: int = 10**6  # reduced-space scan size (p^{c'})
-    retry_budget: int = 16
+
+    def __post_init__(self):
+        for cap in fields(self):
+            if getattr(self, cap.name) <= 0:
+                raise InputError(f"{cap.name} must be positive, got {getattr(self, cap.name)}")
+
+    def require(self, cap: str, amount: int) -> None:
+        """Raise CapExceeded when amount exceeds the limit of the named cap."""
+        limit = getattr(self, cap)
+        if amount > limit:
+            # str() refuses ints above 4300 digits (a huge p or d): show those by bit length
+            shown = amount if amount.bit_length() <= 4096 else f"2^{amount.bit_length() - 1}+"
+            raise CapExceeded(f"{cap}: {shown} exceeds limit {limit}")
 
 
 DEFAULT_CAPS = Caps()

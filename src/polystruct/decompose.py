@@ -13,13 +13,13 @@ value table, and certifies exactness by exhaustive check at desk scale.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import factor as factor_mod
 from . import linalg
-from .bias import CharacterSum, exact_bias, sampled_bias, unit_phases
+from .bias import BIAS_TOL, CharacterSum, exact_bias, sampled_bias, unit_phases
 from .config import Caps, DEFAULT_CAPS, DecomposeConfig, RegularizeConfig
 from .errors import (
     CapExceeded,
@@ -29,20 +29,9 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .ffpoly import LookupTable, MultiPoly, derivative, functional_reduce
+from .ffpoly import LookupTable, MultiPoly, derivative, functional_reduce, monomials_upto
 
 INFINITE_RANK = float("inf")
-
-BIAS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DerivativeBasis:
-    """The auxiliary points z and all small-weight coefficient vectors b."""
-
-    k: int
-    z: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -57,22 +46,6 @@ class Decomposition:
     seed: int | None = None
     k: int | None = None
     attempts: int = 1
-
-
-def basis_vectors(p: int, k: int, d: int) -> list[tuple[int, ...]]:
-    """All b in F_p^k with sum of canonical lifts <= d, in graded order."""
-    cap = min(p - 1, d)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], budget: int):
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for v in range(min(cap, budget) + 1):
-            rec(prefix + (v,), budget - v)
-
-    rec((), d)
-    return sorted(out, key=lambda b: (sum(b), b))
 
 
 def argmin_level(avg: complex, mean_char: complex, p: int) -> int:
@@ -108,30 +81,14 @@ def _check_bias(f: MultiPoly, s: int, caps: Caps, trust_bias: bool) -> Character
 def _fit_table(f, polys, caps, samples, rng):
     """Plurality table over observed derivative tuples, plus the miss rate."""
     p, n = f.p, f.n
-    size = p ** n
-    votes: dict[tuple[int, ...], Counter] = {}
-    if size <= caps.enum_cap:
-        cols = [g.eval_table() for g in polys]
-        ftab = f.eval_table()
-        for i in range(size):
-            key = tuple(col[i] for col in cols)
-            votes.setdefault(key, Counter())[ftab[i]] += 1
-        total = size
-    else:
-        pts = rng.integers(0, p, size=(samples, n))
-        for row in pts:
-            x = tuple(int(v) for v in row)
-            key = tuple(g.eval(x) for g in polys)
-            votes.setdefault(key, Counter())[f.eval(x)] += 1
-        total = samples
-    entries = {}
-    hits = 0
-    for key, counter in votes.items():
-        value, count = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))
-        entries[key] = value
-        hits += count
-    table = LookupTable(p, len(polys), entries, default=0)
-    return table, 1.0 - hits / total
+    if p ** n <= caps.enum_cap:
+        factor = factor_mod.PolynomialFactor(polys)
+        table, _, agreement = factor_mod.measurable_table(f, factor, caps)
+        return table, 1.0 - agreement
+    pts = [tuple(int(v) for v in row) for row in rng.integers(0, p, size=(samples, n))]
+    votes = ((tuple(g.eval(x) for g in polys), f.eval(x)) for x in pts)
+    table, hits, _ = factor_mod._plurality_vote(votes, p, len(polys))
+    return table, 1.0 - hits / samples
 
 
 def approx_decompose(
@@ -154,17 +111,16 @@ def approx_decompose(
     _check_bias(f, s, caps, trust_bias)
     p, n, d = f.p, f.n, f.degree()
     k = k_override if k_override is not None else t + 2 * s + 3
-    nonzero = tuple(b for b in basis_vectors(p, k, d) if any(b))
+    nonzero = tuple(b for b in monomials_upto(k, d, p) if any(b))
     target = 2.0 * p ** (-t)
 
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
         rng = np.random.default_rng([seed, attempt])
         z = tuple(tuple(int(v) for v in row) for row in rng.integers(0, p, size=(k, n)))
-        basis = DerivativeBasis(k=k, z=z, basis=nonzero)
         dirs = [
             tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
-            for b in basis.basis
+            for b in nonzero
         ]
         polys = [functional_reduce(derivative(f, [h])) for h in dirs]
         table, err = _fit_table(f, polys, caps, error_samples, rng)
@@ -201,8 +157,7 @@ def decomposition_error(
     p, n = f.p, f.n
     if mode == "exact":
         size = p ** n
-        if size > caps.enum_cap:
-            raise CapExceeded(f"p^n = {size} exceeds enumeration cap {caps.enum_cap}")
+        caps.require("enum_cap", size)
         cols = [g.eval_table() for g in dec.polys]
         ftab = f.eval_table()
         misses = sum(
@@ -236,13 +191,10 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
     factor, certified by exhaustive check; the enumeration cap is a hard
     requirement because sampled evidence never earns the exact flag.
     """
-    from . import factor as factor_mod
-
     config = config or DecomposeConfig()
     caps = config.caps
     p, n = f.p, f.n
-    if p ** n > caps.enum_cap:
-        raise CapExceeded("exactness is only certified within the enumeration cap")
+    caps.require("enum_cap", p ** n)
     mu = _check_bias(f, s, caps, trust_bias=False)
     s_eff = min(s, _bias_exponent(mu.magnitude, p))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .bias import CharacterSum, exact_bias
+from .bias import BIAS_TOL, CharacterSum, exact_bias
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import (
     CapExceeded,
@@ -24,9 +24,7 @@ from .errors import (
     PartialResultError,
     PreconditionError,
 )
-from .ffpoly import LookupTable, MultiPoly, grlex_key, points_graded
-
-BIAS_TOL = 1e-9
+from .ffpoly import LookupTable, MultiPoly, cube_corners, grlex_key, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,6 @@ class PolynomialFactor:
         if not self.polys:
             raise InputError("empty factor has no ambient dimension")
         return self.polys[0].n
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(g.degree() for g in self.polys))
 
     def degree(self) -> int:
         return max((g.degree() for g in self.polys), default=0)
@@ -108,10 +103,7 @@ def atom_histogram(
     p, n = factor.p, factor.n
     counts: Counter = Counter()
     if samples is None:
-        if p ** n > caps.enum_cap:
-            raise CapExceeded(
-                f"p^n = {p ** n} exceeds enumeration cap; pass a sample budget"
-            )
+        caps.require("enum_cap", p ** n)
         for atom in factor.atom_table():
             counts[atom] += 1
     else:
@@ -134,12 +126,9 @@ def find_biased_combination(
     if not factor.polys:
         return None
     p = factor.p
-    if p ** factor.c > caps.search_cap:
-        raise CapExceeded(
-            f"p^c = {p ** factor.c} exceeds search cap {caps.search_cap}"
-        )
+    caps.require("search_cap", p ** factor.c)
     threshold = p ** (-s) - BIAS_TOL
-    for a in points_graded(p, factor.c):
+    for a in monomials_upto(factor.c, factor.c * (p - 1), p):
         if not any(a):
             continue
         cs = exact_bias(combine(factor, a), caps)
@@ -268,24 +257,31 @@ def measurable_table(
     """
     p, n = f.p, f.n
     size = p ** n
-    if size > caps.enum_cap:
-        raise CapExceeded(f"p^n = {size} exceeds enumeration cap {caps.enum_cap}")
+    caps.require("enum_cap", size)
     atoms = factor.atom_table() if factor.polys else [()] * size
-    ftab = f.eval_table()
-    votes: dict[tuple[int, ...], Counter] = {}
-    for atom, value in zip(atoms, ftab):
-        votes.setdefault(atom, Counter())[value] += 1
+    table, hits, exact = _plurality_vote(zip(atoms, f.eval_table()), p, factor.c)
+    return table, exact, hits / size
+
+
+def _plurality_vote(votes, p: int, arity: int) -> tuple[LookupTable, int, bool]:
+    """Most frequent value per key over (key, value) votes, ties to the smallest lift.
+
+    Returns the table (default 0), the number of votes it reproduces, and
+    whether every key received a single value.
+    """
+    counters: dict[tuple[int, ...], Counter] = {}
+    for key, value in votes:
+        counters.setdefault(key, Counter())[value] += 1
     entries = {}
     hits = 0
     exact = True
-    for atom, counter in votes.items():
+    for key, counter in counters.items():
         value, count = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))
-        entries[atom] = value
+        entries[key] = value
         hits += count
         if len(counter) > 1:
             exact = False
-    table = LookupTable(p, factor.c, entries, default=0)
-    return table, exact, hits / size
+    return LookupTable(p, arity, entries, default=0), hits, exact
 
 
 def semantic_refines(
@@ -298,8 +294,7 @@ def semantic_refines(
         p, n = coarse.p, coarse.n
     else:
         return True
-    if p ** n > caps.enum_cap:
-        raise CapExceeded("refinement check exceeds enumeration cap")
+    caps.require("enum_cap", p ** n)
     fine_atoms = fine.atom_table() if fine.polys else [()] * (p ** n)
     coarse_atoms = coarse.atom_table() if coarse.polys else [()] * (p ** n)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -354,16 +349,7 @@ def parallelepiped_check(
     rng = np.random.default_rng(seed)
     counts: Counter = Counter()
     for _ in range(samples):
-        x = rng.integers(0, p, size=n)
-        ys = rng.integers(0, p, size=(k, n))
-        corners = []
-        for mask in range(1 << k):
-            pt = x.copy()
-            for j in range(k):
-                if mask >> j & 1:
-                    pt = pt + ys[j]
-            corners.append(factor.atom_of(tuple(int(v) % p for v in pt)))
-        counts[tuple(corners)] += 1
+        counts[tuple(factor.atom_of(pt) for pt in cube_corners(rng, p, n, k))] += 1
     max_dev = max(abs(cnt / samples - predicted) for cnt in counts.values())
     return ParallelepipedReport(
         k=k,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedError
@@ -19,13 +20,28 @@ Monomial = tuple[int, ...]
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)(?:\^([0-9]+))?$")
 _INT_RE = re.compile(r"^[0-9]+$")
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for m < 3.3 * 10^24."""
     if m < 2:
         return False
-    for q in range(2, int(math.isqrt(m)) + 1):
+    for q in _MR_BASES:
         if m % q == 0:
+            return m == q
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
     return True
 
@@ -40,9 +56,6 @@ class FieldCtx:
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise InputError(f"modulus must be prime, got {self.p}")
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -55,16 +68,44 @@ def points_lex(p: int, n: int):
     return itertools.product(range(p), repeat=n)
 
 
-def point_index(x: Monomial, p: int) -> int:
-    idx = 0
-    for v in x:
-        idx = idx * p + v
-    return idx
+def graded_key(e: Monomial):
+    """Graded order: sum of canonical lifts, then lexicographic."""
+    return (sum(e), e)
 
 
-def points_graded(p: int, n: int) -> list[Monomial]:
-    """All points of F_p^n sorted by (sum of lifts, then lex)."""
-    return sorted(points_lex(p, n), key=lambda t: (sum(t), t))
+def monomials_upto(n: int, degree: int, p: int) -> list[Monomial]:
+    """All e in [0, min(p-1, degree)]^n with sum(e) <= degree, in graded order.
+
+    One list serves as the exponent vectors of the degree <= degree
+    monomials, as the small-weight coefficient vectors b, and, at degree
+    n(p-1), as all of F_p^n.  Built by sum without a sort: vectors of each
+    sum come out in lex order when the first entry ascends outermost.
+    """
+    cap = min(degree, p - 1)
+    budget = min(degree, n * cap)
+    by_sum = [[()]] + [[] for _ in range(budget)]  # vectors of the current length, by sum
+    for _ in range(n):
+        by_sum = [
+            [(v,) + rest for v in range(min(cap, s) + 1) for rest in by_sum[s - v]]
+            for s in range(budget + 1)
+        ]
+    return [e for level in by_sum for e in level]
+
+
+def cube_corners(rng, p: int, n: int, k: int) -> Iterator[Monomial]:
+    """Corners x + sum_{j in mask} y_j mod p of a random cube, in mask order.
+
+    Draws x, then y_1..y_k, from rng when iteration starts; masks run over
+    0..2^k - 1, one corner at a time, so 2^k corners are never held at once.
+    """
+    x = rng.integers(0, p, size=n)
+    ys = rng.integers(0, p, size=(k, n))
+    for mask in range(1 << k):
+        pt = x.copy()
+        for j in range(k):
+            if mask >> j & 1:
+                pt = pt + ys[j]
+        yield tuple(int(v) % p for v in pt)
 
 
 def grlex_key(e: Monomial):
@@ -423,11 +464,11 @@ class LookupTable:
         """Values over all p^arity keys in graded order."""
         if not self.is_total():
             raise InputError("table does not cover all inputs")
-        return [self(k) for k in points_graded(self.p, self.arity)]
+        return [self(k) for k in monomials_upto(self.arity, self.arity * (self.p - 1), self.p)]
 
     @classmethod
     def from_flat(cls, p: int, arity: int, values) -> "LookupTable":
-        keys = points_graded(p, arity)
+        keys = monomials_upto(arity, arity * (p - 1), p)
         if len(values) != len(keys):
             raise InputError(f"expected {len(keys)} values, got {len(values)}")
         return cls(p, arity, dict(zip(keys, values)))

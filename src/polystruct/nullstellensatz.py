@@ -9,13 +9,12 @@ so returned certificates have minimal exponent first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InputError, InternalConsistencyError
-from .ffpoly import MultiPoly, extend_variables, functional_reduce, points_lex
+from .errors import InputError, InternalConsistencyError
+from .ffpoly import MultiPoly, extend_variables, functional_reduce, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,6 @@ class Certificate:
         return functional_reduce(lhs - functional_reduce(rhs)).is_zero()
 
 
-def monomials_upto(n: int, degree: int, p: int) -> list[tuple[int, ...]]:
-    """Exponent vectors with total degree <= degree and each entry < p, graded."""
-    cap = min(degree, p - 1)
-    out = [
-        e
-        for e in itertools.product(range(cap + 1), repeat=n)
-        if sum(e) <= degree
-    ]
-    return sorted(out, key=lambda e: (sum(e), e))
-
-
 def find_certificate(
     spec: IdealSpec, d_max: int, r_max: int, caps: Caps = DEFAULT_CAPS
 ) -> Certificate | None:
@@ -75,10 +63,7 @@ def find_certificate(
         raise InputError("need d_max >= 0 and r_max >= 1")
     ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
     mons = monomials_upto(n, d_max, p)
-    if len(mons) > caps.unknowns_cap:
-        raise CapExceeded(
-            f"{len(mons)} unknowns per cofactor exceeds cap {caps.unknowns_cap}"
-        )
+    caps.require("unknowns_cap", len(mons))
     c = len(spec.generators)
 
     # column polynomials reduce(x^m * P_i), shared across all (r, D) cells
@@ -140,8 +125,7 @@ def weak_certificate(
 def vanishes_on_variety(spec: IdealSpec, caps: Caps = DEFAULT_CAPS) -> bool:
     """Brute-force oracle: Q(x) = 0 at every common zero of the generators."""
     p, n = spec.query.p, spec.query.n
-    if p ** n > caps.enum_cap:
-        raise CapExceeded(f"p^n = {p ** n} exceeds enumeration cap")
+    caps.require("enum_cap", p ** n)
     tables = [g.eval_table() for g in spec.generators]
     qtab = spec.query.eval_table()
     for i in range(p ** n):

@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InputError, PreconditionError, UnsupportedError
+from .errors import InputError, PreconditionError, UnsupportedError
 from .factor import PolynomialFactor
-from .ffpoly import FieldCtx, MultiPoly, points_lex
+from .ffpoly import FieldCtx, MultiPoly, monomials_upto, points_lex
 
 FLOAT_TOL = 1e-9
 
@@ -44,16 +44,8 @@ class RMParams:
     def ctx(self) -> FieldCtx:
         return FieldCtx(self.p)
 
-    def monomials(self) -> list[tuple[int, ...]]:
-        out = [
-            e
-            for e in itertools.product(range(self.d + 1), repeat=self.n)
-            if sum(e) <= self.d
-        ]
-        return sorted(out, key=lambda e: (sum(e), e))
-
     def codeword_count(self) -> int:
-        return self.p ** len(self.monomials())
+        return self.p ** len(monomials_upto(self.n, self.d, self.p))
 
     def min_distance_formula(self) -> Fraction:
         return Fraction(self.p - self.d, self.p)
@@ -62,7 +54,7 @@ class RMParams:
 @lru_cache(maxsize=8)
 def _codewords(params: RMParams) -> tuple[tuple[MultiPoly, ...], tuple[tuple[int, ...], ...]]:
     ctx = params.ctx
-    mons = params.monomials()
+    mons = monomials_upto(params.n, params.d, params.p)
     polys = []
     tables = []
     for coeffs in itertools.product(range(params.p), repeat=len(mons)):
@@ -73,10 +65,7 @@ def _codewords(params: RMParams) -> tuple[tuple[MultiPoly, ...], tuple[tuple[int
 
 
 def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
-    if params.codeword_count() > caps.codeword_cap:
-        raise CapExceeded(
-            f"{params.codeword_count()} codewords exceed cap {caps.codeword_cap}"
-        )
+    caps.require("codeword_cap", params.codeword_count())
     return _codewords(params)
 
 
@@ -238,8 +227,7 @@ def simplex_fourier(
             raise InputError("raw tables need explicit p and n")
         table = tuple(int(v) % p for v in g)
     size = p ** n
-    if size * (p - 1) > caps.enum_cap:
-        raise CapExceeded(f"basis size {size * (p - 1)} exceeds cap {caps.enum_cap}")
+    caps.require("enum_cap", size * (p - 1))
     qg = SimplexFunction.embed(p, n, table=table).centered().values
     alphas: dict[tuple[tuple[int, ...], int], float] = {}
     for a in points_lex(p, n):
@@ -304,8 +292,7 @@ def conditional_expectation(
     """Average phi over each atom of the factor; output is atom-measurable."""
     p, n = phi.p, phi.n
     size = p ** n
-    if size > caps.enum_cap:
-        raise CapExceeded(f"p^n = {size} exceeds enumeration cap")
+    caps.require("enum_cap", size)
     if factor.polys and (factor.p != p or factor.n != n):
         raise InputError("factor domain mismatch")
     atoms = factor.atom_table() if factor.polys else [()] * size

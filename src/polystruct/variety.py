@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
-from .errors import CapExceeded, InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .factor import PolynomialFactor, measurable_table, regularize
 from .ffpoly import FieldCtx
 
@@ -49,8 +49,7 @@ def count_points_exact(
     generators = list(generators)
     ctx, n = _ambient(generators, ctx, n)
     size = ctx.p ** n
-    if size > caps.enum_cap:
-        raise CapExceeded(f"p^n = {size} exceeds enumeration cap {caps.enum_cap}")
+    caps.require("enum_cap", size)
     tables = [g.eval_table() for g in generators]
     count = sum(1 for i in range(size) if all(t[i] == 0 for t in tables))
     return VarietyReport(
@@ -79,10 +78,7 @@ def count_points_regularized(
         return VarietyReport(None, p ** n, 0, False, "regularized")
     regular = regularize(PolynomialFactor(generators), s, config)
     cprime = regular.c
-    if p ** cprime > caps.reduced_scan_cap:
-        raise CapExceeded(
-            f"reduced scan size p^c' = {p ** cprime} exceeds cap {caps.reduced_scan_cap}"
-        )
+    caps.require("reduced_scan_cap", p ** cprime)
     reduced_tables = []
     for gen in generators:
         table, exact, _ = measurable_table(gen, regular, caps)

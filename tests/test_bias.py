@@ -50,15 +50,6 @@ def test_exact_bias_cap_and_reproducibility():
     assert (a.re, a.im) == (b.re, b.im)
 
 
-def test_exact_bias_worker_merge_is_deterministic():
-    f = parse_poly("x1*x2 + x1", 5)
-    base = exact_bias(f)
-    for workers in (2, 3, 4):
-        again = exact_bias(f, workers=workers)
-        assert abs(again.as_complex() - base.as_complex()) < 1e-12
-        assert exact_bias(f, workers=workers).re == again.re
-
-
 def test_bias_phase_shift_invariance():
     rng = np.random.default_rng(6)
     for _ in range(10):

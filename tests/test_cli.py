@@ -59,6 +59,20 @@ def test_cap_exceeded_exit_code():
     assert code == EXIT_CAP
 
 
+def test_non_positive_caps_are_usage_errors():
+    assert run(["bias", "--p", "3", "--poly", "x1", "--cap-enum", "-1"])[0] == EXIT_DOMAIN
+    code, _ = run(["count", "--p", "3", "--gens", "x1", "--mode", "regularized",
+                   "--cap-search", "0"])
+    assert code == EXIT_DOMAIN
+
+
+def test_huge_modulus_fails_fast_on_the_enumeration_cap():
+    # a 61-bit prime: the primality check must not dominate, the cap must fire
+    assert run(["bias", "--p", str(2**61 - 1), "--poly", "x1"])[0] == EXIT_CAP
+    # the required amount p^(n(d+1)) has about 18,000 digits here
+    assert run(["gowers", "--p", str(2**61 - 1), "--poly", "x1", "--d", "1000"])[0] == EXIT_CAP
+
+
 def test_precondition_exit_code():
     # zero-bias polynomial cannot be decomposed
     code, _ = run(["decompose", "--p", "3", "--poly", "x1", "--s", "2"])

@@ -11,7 +11,6 @@ from polystruct.decompose import (
     Decomposition,
     approx_decompose,
     argmin_level,
-    basis_vectors,
     decomposition_error,
     exact_decompose,
     quadratic_rank,
@@ -23,6 +22,7 @@ from polystruct.ffpoly import (
     MultiPoly,
     derivative,
     functional_reduce,
+    monomials_upto,
     parse_poly,
     points_lex,
 )
@@ -31,7 +31,7 @@ from util import random_poly
 
 def test_basis_vectors_cardinality_bound():
     for p, k, d in [(3, 5, 2), (5, 7, 2), (3, 9, 3), (2, 6, 2)]:
-        basis = basis_vectors(p, k, d)
+        basis = monomials_upto(k, d, p)
         assert len(basis) <= math.comb(d + k, d)
         assert all(sum(b) <= d for b in basis)
         assert basis == sorted(basis, key=lambda b: (sum(b), b))

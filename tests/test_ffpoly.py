@@ -1,5 +1,6 @@
 """Field context, sparse polynomials, and the text grammar."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from polystruct.ffpoly import (
     derivative,
     functional_reduce,
     homogeneous_top,
+    is_prime,
+    monomials_upto,
     parse_poly,
     points_lex,
     poly_to_str,
@@ -32,6 +35,25 @@ def test_field_ctx_rejects_composites():
         FieldCtx(9)
     with pytest.raises(InputError):
         FieldCtx(1)
+
+
+def test_is_prime_matches_trial_division():
+    for m in range(10**4):
+        expected = m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
+        assert is_prime(m) == expected, m
+    assert is_prime(2**61 - 1)
+    assert not is_prime(561) and not is_prime(41041)  # Carmichael numbers
+
+
+def test_monomials_upto_matches_product_and_filter():
+    for p in (2, 3, 5, 7):
+        for n in range(6):
+            for budget in list(range(9)) + [n * (p - 1)]:
+                naive = sorted(
+                    (e for e in itertools.product(range(p), repeat=n) if sum(e) <= budget),
+                    key=lambda e: (sum(e), e),
+                )
+                assert monomials_upto(n, budget, p) == naive, (p, n, budget)
 
 
 def test_eval_examples():

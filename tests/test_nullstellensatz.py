@@ -5,11 +5,17 @@ import pytest
 
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded
-from polystruct.ffpoly import FieldCtx, MultiPoly, functional_reduce, parse_poly, points_lex
+from polystruct.ffpoly import (
+    FieldCtx,
+    MultiPoly,
+    functional_reduce,
+    monomials_upto,
+    parse_poly,
+    points_lex,
+)
 from polystruct.nullstellensatz import (
     IdealSpec,
     find_certificate,
-    monomials_upto,
     radical_membership,
     vanishes_on_variety,
     weak_certificate,
