@@ -1,7 +1,8 @@
 """Polynomial bias and Gowers uniformity norms via the additive character.
 
-All exact averages run over the full domain in lexicographic point order,
-so repeated runs are bit-for-bit identical.  Sampled estimators use the
+Exact biases come from integer value counts, (1/p^n) sum_v N_v e(v/p)
+summed over ascending v, so they do not depend on point order or chunking
+and repeated runs are bit-for-bit identical.  Sampled estimators use the
 seeded pcg64 generator and are deterministic given (seed, sample count).
 """
 
@@ -22,8 +23,12 @@ RNG_ALGORITHM = "pcg64"
 BIAS_TOL = 1e-9  # slack when comparing a bias magnitude with a threshold p^-s
 
 
+def _phase(v: int, p: int) -> complex:
+    return cmath.exp(2j * math.pi * v / p)
+
+
 def unit_phases(p: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * v / p) for v in range(p))
+    return tuple(_phase(v, p) for v in range(p))
 
 
 @dataclass(frozen=True)
@@ -42,17 +47,26 @@ class CharacterSum:
         return complex(self.re, self.im)
 
 
-def exact_bias(f: MultiPoly, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
-    """E_x[e(f(x))] over the full domain, summed in lexicographic order."""
-    size = f.p ** f.n
-    caps.require("enum_cap", size)
-    phases = unit_phases(f.p)
-    table = f.eval_table()
+def bias_from_counts(values, counts, p: int, size: int) -> CharacterSum:
+    """The exact average (1/size) sum_v N_v e(v/p), summed over ascending v.
+
+    values ascend and counts[i] is the number of points taking values[i];
+    values with no points may be left out, as they add exactly nothing.
+    """
     total = 0j
-    for v in table:
-        total += phases[v]
+    for v, count in zip(values, counts):
+        if count:
+            total += int(count) * _phase(int(v), p)
     mean = total / size
     return CharacterSum(mean.real, mean.imag, 0)
+
+
+def exact_bias(f: MultiPoly, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
+    """E_x[e(f(x))] over the full domain, from the count of each value."""
+    size = f.p ** f.n
+    caps.require("enum_cap", size)
+    values, counts = np.unique(np.array(f.eval_table()), return_counts=True)
+    return bias_from_counts(values, counts, f.p, size)
 
 
 def sampled_bias(f: MultiPoly, samples: int, seed: int, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
@@ -97,13 +111,14 @@ def gowers_norm(
     """U^d norm of e(f), computed as the 2^d-th root of the derivative average.
 
     Exact mode enumerates all (x, y_1..y_d) tuples; its p^{n(d+1)} size must
-    stay within the enumeration cap.
+    stay within the enumeration cap.  Sampled mode evaluates f at the 2^d
+    corners of each sampled cube, so it charges samples * 2^d to that cap.
     """
     if d < 1:
         raise InputError("d must be >= 1")
     p, n = f.p, f.n
     if mode == "exact":
-        caps.require("enum_cap", p ** (n * (d + 1)))
+        caps.require_power("enum_cap", p, n * (d + 1))
         size = p ** n
         table = np.array(f.eval_table(), dtype=np.int64)
         shift = _shift_index_table(p, n)
@@ -133,6 +148,7 @@ def gowers_norm(
     elif mode == "sampled":
         if samples < 1:
             raise InputError("samples must be >= 1")
+        caps.require_power("enum_cap", 2, d, samples)  # cube corners visited
         rng = np.random.default_rng(seed)
         phases = unit_phases(p)
         total = 0j

@@ -30,6 +30,17 @@ class Caps:
             shown = amount if amount.bit_length() <= 4096 else f"2^{amount.bit_length() - 1}+"
             raise CapExceeded(f"{cap}: {shown} exceeds limit {limit}")
 
+    def require_power(self, cap: str, base: int, exponent: int, factor: int = 1) -> None:
+        """require(cap, factor * base^exponent), building the power only when small.
+
+        base^exponent >= 2^low: a low above 256 and the limit's bit length fails unbuilt.
+        """
+        limit = getattr(self, cap)
+        low = exponent * (base.bit_length() - 1)
+        if low > max(256, limit.bit_length()):
+            raise CapExceeded(f"{cap}: 2^{low}+ exceeds limit {limit}")
+        self.require(cap, factor * base**exponent)
+
 
 DEFAULT_CAPS = Caps()
 

@@ -122,7 +122,11 @@ def approx_decompose(
             tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
             for b in nonzero
         ]
-        polys = [functional_reduce(derivative(f, [h])) for h in dirs]
+        derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct direction
+        for h in dirs:
+            if h not in derivatives:
+                derivatives[h] = functional_reduce(derivative(f, [h]))
+        polys = [derivatives[h] for h in dirs]
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(
             polys=polys,

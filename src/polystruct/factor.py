@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .bias import BIAS_TOL, CharacterSum, exact_bias
+from .bias import BIAS_TOL, CharacterSum, bias_from_counts
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import (
     CapExceeded,
@@ -25,6 +25,8 @@ from .errors import (
     PreconditionError,
 )
 from .ffpoly import LookupTable, MultiPoly, cube_corners, grlex_key, monomials_upto
+
+_SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
 
 
 @dataclass(frozen=True)
@@ -121,19 +123,35 @@ def find_biased_combination(
     """First coefficient vector (graded order) whose combination reaches p^-s.
 
     Returns None when every nonzero combination stays below the threshold,
-    in which case the factor may be stamped regular at level s.
+    in which case the factor may be stamped regular at level s.  By
+    linearity the table of sum_i a_i h_i is A @ T mod p for the stacked
+    generator tables T, so chunks of vectors are scanned as one matrix
+    product with per-row value counts; no combination polynomial is built.
     """
     if not factor.polys:
         return None
-    p = factor.p
-    caps.require("search_cap", p ** factor.c)
+    p, c, n = factor.p, factor.c, factor.n
+    caps.require("search_cap", p ** c)
+    size = p ** n
+    caps.require("enum_cap", size)
     threshold = p ** (-s) - BIAS_TOL
-    for a in monomials_upto(factor.c, factor.c * (p - 1), p):
-        if not any(a):
-            continue
-        cs = exact_bias(combine(factor, a), caps)
-        if cs.magnitude >= threshold:
-            return a, cs
+    vectors = [a for a in monomials_upto(c, c * (p - 1), p) if any(a)]
+    dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
+    tables = np.array([g.eval_table() for g in factor.polys], dtype=dtype)
+    phases = np.exp(2j * np.pi * np.arange(p) / p)
+    rows = max(1, _SCAN_CHUNK // max(size, p))
+    for start in range(0, len(vectors), rows):
+        chunk = vectors[start:start + rows]
+        vals = np.asarray(np.array(chunk, dtype=dtype) @ tables % p, dtype=np.int64)
+        offsets = p * np.arange(len(chunk), dtype=np.int64)[:, None]
+        counts = np.bincount((vals + offsets).ravel(), minlength=len(chunk) * p)
+        counts = counts.reshape(len(chunk), p)
+        # screen in floating point with slack, then decide with the exact helper
+        magnitudes = np.abs(counts @ phases) / size
+        for i in np.flatnonzero(magnitudes >= threshold - BIAS_TOL):
+            cs = bias_from_counts(range(p), counts[i], p, size)
+            if cs.magnitude >= threshold:
+                return chunk[i], cs
     return None
 
 
@@ -329,12 +347,14 @@ def parallelepiped_check(
 
     Purely diagnostic: reports the empirical tuple distribution, the
     predicted support exponent sum_i M_i * sum_{1<=j<=i} C(k, j), and the
-    maximal deviation of observed frequencies from the predicted one.
+    maximal deviation of observed frequencies from the predicted one.  The
+    samples * 2^k corners visited are charged to the enumeration cap.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     if factor.polys and k <= factor.degree():
         raise PreconditionError(f"k = {k} must exceed the factor degree {factor.degree()}")
+    caps.require_power("enum_cap", 2, k, samples)  # cube corners visited
     if not factor.polys:
         counts = {((),) * (1 << k): samples}
         return ParallelepipedReport(k, samples, seed, counts, 1, 0, 1.0, 0.0)

@@ -14,6 +14,8 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, UnsupportedError
 
 Monomial = tuple[int, ...]
@@ -277,10 +279,24 @@ class MultiPoly:
         return total % p
 
     def eval_table(self) -> tuple[int, ...]:
-        """Values at all p^n points in lexicographic order (cached)."""
+        """Values at all p^n points in lexicographic order (cached).
+
+        Each term is a product of per-variable power vectors broadcast over
+        shape (p,)*n, reduced mod p after every multiply and add; object
+        dtype keeps the products exact when (p-1)^2 overflows int64.
+        """
         if self._table is None:
-            table = tuple(self.eval(x) for x in points_lex(self.p, self.n))
-            object.__setattr__(self, "_table", table)
+            p, n = self.p, self.n
+            dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+            table = np.zeros((p,) * n, dtype=dtype)
+            for e, c in self.terms.items():
+                term = np.array(c, dtype=dtype)
+                for i, ei in enumerate(e):
+                    if ei:
+                        power = np.array([pow(x, ei, p) for x in range(p)], dtype=dtype)
+                        term = term * power.reshape((1,) * i + (p,) + (1,) * (n - i - 1)) % p
+                table = (table + term) % p
+            object.__setattr__(self, "_table", tuple(np.ravel(table).tolist()))
         return self._table
 
     def shift(self, h) -> "MultiPoly":

@@ -7,10 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+
+from polystruct import oracle
 from polystruct.bias import exact_bias, gowers_norm, sampled_bias
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded, InputError
 from polystruct.ffpoly import FieldCtx, MultiPoly, parse_poly, points_lex
+from test_ffpoly import small_polys
 from util import random_poly
 
 TOL = 1e-9
@@ -143,3 +147,35 @@ def test_gowers_cap_and_sampled_mode():
     assert abs(a - exact) < 0.1
     with pytest.raises(InputError):
         gowers_norm(f, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys(primes=(2, 3, 5, 7), n_range=(0, 4), max_exp=9))
+def test_exact_bias_matches_oracle(f):
+    ours = exact_bias(f).as_complex()
+    assert abs(ours - oracle.oracle_bias(oracle.table_of(f))) <= 1e-12
+
+
+def test_exact_bias_of_a_constant_over_a_61_bit_field():
+    big = 2**61 - 1
+    f = MultiPoly.constant(FieldCtx(big), 0, 12345)
+    assert abs(exact_bias(f).as_complex() - oracle.oracle_bias(oracle.table_of(f))) <= 1e-12
+
+
+def test_cube_corners_are_charged_to_the_enumeration_cap():
+    f = parse_poly("x1", 3)
+    # samples * 2^d corners: 1 * 2^3 = 8 fits a cap of 8, 2 * 2^3 does not
+    gowers_norm(f, 3, mode="sampled", samples=1, caps=Caps(enum_cap=8))
+    with pytest.raises(CapExceeded, match="enum_cap: 16 exceeds limit 8"):
+        gowers_norm(f, 3, mode="sampled", samples=2, caps=Caps(enum_cap=8))
+    with pytest.raises(CapExceeded, match="enum_cap: 1073741824 exceeds"):
+        gowers_norm(f, 30, mode="sampled", samples=1)
+
+
+def test_huge_gowers_order_fails_on_the_cap_without_the_power():
+    f = parse_poly("x1", 3)
+    # 3^(10^8 + 1) has about 1.6 * 10^8 bits; only a lower bound is reported
+    with pytest.raises(CapExceeded, match=r"enum_cap: 2\^100000001\+ exceeds"):
+        gowers_norm(f, 10**8)
+    with pytest.raises(CapExceeded, match=r"enum_cap: 2\^100000000\+ exceeds"):
+        gowers_norm(f, 10**8, mode="sampled", samples=1)

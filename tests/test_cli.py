@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -126,3 +127,17 @@ def test_seed_auto_is_echoed():
     )
     assert code == EXIT_OK
     assert isinstance(json.loads(text)["seed"], int)
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["gowers", "--p", "3", "--poly", "x1", "--d", "100000000"],
+    ["gowers", "--p", "3", "--poly", "x1", "--d", "30", "--mode", "sampled", "--samples", "1"],
+    ["cubes", "--p", "3", "--gens", "x1", "--k", "30", "--samples", "1"],
+])
+def test_huge_cube_orders_fail_fast_on_the_enumeration_cap(argv, capsys):
+    start = time.perf_counter()
+    code, _ = run(argv)
+    assert code == EXIT_CAP
+    assert time.perf_counter() - start < 1.0
+    assert "enum_cap" in capsys.readouterr().err

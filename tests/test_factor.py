@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polystruct.bias import BIAS_TOL, exact_bias
 from polystruct.config import Caps
 from polystruct.decompose import quadratic_rank, INFINITE_RANK
 from polystruct.errors import CapExceeded, PreconditionError
@@ -16,7 +18,7 @@ from polystruct.factor import (
     regularize,
     semantic_refines,
 )
-from polystruct.ffpoly import FieldCtx, MultiPoly, compose_poly, parse_poly
+from polystruct.ffpoly import FieldCtx, MultiPoly, compose_poly, monomials_upto, parse_poly
 from util import random_poly
 
 
@@ -242,3 +244,50 @@ def test_hyperplane_restriction_rank_drop():
         assert r_restricted >= r - 3
         checked += 1
     assert checked > 10
+
+
+@st.composite
+def small_factors(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 3))
+    ctx = FieldCtx(p)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[e] = draw(st.integers(1, p - 1))
+        polys.append(MultiPoly(ctx, n, terms))
+    return PolynomialFactor(polys)
+
+
+def _naive_biased_combination(factor, s):
+    p = factor.p
+    for a in monomials_upto(factor.c, factor.c * (p - 1), p):
+        if any(a):
+            cs = exact_bias(combine(factor, a))
+            if cs.magnitude >= p ** (-s) - BIAS_TOL:
+                return a, cs
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_factors(), st.sampled_from([1, 2]))
+@example(PolynomialFactor([parse_poly("x1", 5, n=2), parse_poly("x2", 5, n=2)]), 1)
+@example(PolynomialFactor([parse_poly("x1*x2 + x3^2", 3), parse_poly("x1 + x2", 3, n=3)]), 2)
+def test_find_biased_combination_matches_naive_graded_scan(factor, s):
+    # the same first vector and a bit-for-bit equal CharacterSum, or None for both
+    assert find_biased_combination(factor, s) == _naive_biased_combination(factor, s)
+
+
+def test_find_biased_combination_across_scan_chunks():
+    # 3^9 points exceed one scan chunk, so every vector is scanned in its own chunk
+    quad = parse_poly("x1*x2", 3, n=9)  # bias 1/3
+    hit = PolynomialFactor([quad, parse_poly("x5", 3, n=9), parse_poly("x6", 3, n=9)])
+    found = find_biased_combination(hit, 1)
+    assert found is not None and found[0] == (1, 0, 0)
+    assert found == _naive_biased_combination(hit, 1)
+    wide = parse_poly("x3*x4 + x5*x6", 3, n=9)  # bias 1/9
+    miss = PolynomialFactor([parse_poly("x1", 3, n=9), parse_poly("x2", 3, n=9), wide])
+    assert find_biased_combination(miss, 1) is None
+    assert _naive_biased_combination(miss, 1) is None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polystruct import oracle
 from polystruct.errors import InputError, UnsupportedError
 from polystruct.ffpoly import (
     FieldCtx,
@@ -218,14 +219,14 @@ def test_functional_reduce_examples():
 
 
 @st.composite
-def small_polys(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 3))
+def small_polys(draw, primes=(2, 3, 5), n_range=(1, 3), max_exp=4):
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(*n_range))
     ctx = FieldCtx(p)
     n_terms = draw(st.integers(0, 5))
     terms = {}
     for _ in range(n_terms):
-        e = tuple(draw(st.integers(0, 4)) for _ in range(n))
+        e = tuple(draw(st.integers(0, max_exp)) for _ in range(n))
         terms[e] = draw(st.integers(1, p - 1)) if p > 2 else 1
     return MultiPoly(ctx, n, terms)
 
@@ -286,3 +287,39 @@ def test_lookup_table_flat_roundtrip():
     assert len(flat) == 9
     again = LookupTable.from_flat(3, 2, flat)
     assert again == table
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys(primes=(2, 3, 5, 7), n_range=(0, 4), max_exp=9))
+def test_eval_table_matches_oracle(f):
+    # exponents up to 9 reach past p for every prime drawn
+    assert f.eval_table() == oracle.table_of(f).values
+
+
+def test_eval_table_of_zero_and_constants_matches_oracle():
+    for p in (2, 3, 5, 7):
+        for n in range(5):
+            for c in range(p):
+                f = MultiPoly.constant(FieldCtx(p), n, c)
+                assert f.eval_table() == oracle.table_of(f).values == (c,) * p**n
+
+
+def test_eval_table_keeps_huge_exponents_and_moduli_exact():
+    f = parse_poly("x1^1000000000 + 2*x2^7", 7)
+    assert f.eval_table() == oracle.table_of(functional_reduce(f)).values
+    # (p-1)^2 overflows int64 here, so the table is built with object dtype
+    big = 2**61 - 1
+    g = MultiPoly.constant(FieldCtx(big), 0, big - 5)
+    assert g.eval_table() == oracle.table_of(g).values == (big - 5,)
+
+
+def test_eval_table_is_a_cached_tuple_of_python_ints():
+    for f in (
+        parse_poly("x1*x2 + 2*x3^4 + 1", 5),
+        MultiPoly.zero(FieldCtx(3), 2),
+        MultiPoly.constant(FieldCtx(2**61 - 1), 0, 3),
+    ):
+        table = f.eval_table()
+        assert type(table) is tuple
+        assert all(type(v) is int for v in table)
+        assert f.eval_table() is table
