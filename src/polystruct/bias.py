@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError
-from .ffpoly import MultiPoly, cube_corners, points_lex
+from .ffpoly import MultiPoly, cube_corners
 
 RNG_ALGORITHM = "pcg64"
 
@@ -25,10 +25,6 @@ BIAS_TOL = 1e-9  # slack when comparing a bias magnitude with a threshold p^-s
 
 def _phase(v: int, p: int) -> complex:
     return cmath.exp(2j * math.pi * v / p)
-
-
-def unit_phases(p: int) -> tuple[complex, ...]:
-    return tuple(_phase(v, p) for v in range(p))
 
 
 @dataclass(frozen=True)
@@ -75,29 +71,20 @@ def sampled_bias(f: MultiPoly, samples: int, seed: int, caps: Caps = DEFAULT_CAP
         raise InputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, f.p, size=(samples, f.n))
-    phases = np.array(unit_phases(f.p))
     if f.p ** f.n <= caps.enum_cap:
         table = np.array(f.eval_table())
-        radix = f.p ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
-        idx = pts @ radix
-        mean = phases[table[idx]].mean() if f.n else phases[table[0]] + 0j
+        idx = np.zeros(samples, dtype=np.int64)
+        for column in pts.T:
+            idx = idx * f.p + column
+        values, inverse = np.unique(table[idx], return_inverse=True)
+        phases = np.array([_phase(int(v), f.p) for v in values])  # values that occur
+        mean = phases[inverse].mean() if f.n else phases[0] + 0j
     else:
         total = 0j
         for row in pts:
-            total += phases[f.eval(tuple(int(v) for v in row))]
+            total += _phase(f.eval(tuple(int(v) for v in row)), f.p)
         mean = total / samples
     return CharacterSum(float(mean.real), float(mean.imag), samples)
-
-
-def _shift_index_table(p: int, n: int) -> np.ndarray:
-    """SHIFT[a, b] = index of point_a + point_b; used by exact Gowers sums."""
-    size = p ** n
-    pts = np.array(list(points_lex(p, n)), dtype=np.int64).reshape(size, n)
-    radix = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    table = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        table[a] = ((pts[a] + pts) % p) @ radix
-    return table
 
 
 def gowers_norm(
@@ -108,58 +95,48 @@ def gowers_norm(
     seed: int = 0,
     caps: Caps = DEFAULT_CAPS,
 ) -> float:
-    """U^d norm of e(f), computed as the 2^d-th root of the derivative average.
+    """U^d norm of e(f): the 2^d-th root of E_{x,y_1..y_d}[e(D_{y_1..y_d} f(x))].
 
-    Exact mode enumerates all (x, y_1..y_d) tuples; its p^{n(d+1)} size must
-    stay within the enumeration cap.  Sampled mode evaluates f at the 2^d
-    corners of each sampled cube, so it charges samples * 2^d to that cap.
+    Exact mode takes U^1 as |exact_bias|.  For d >= 2 it averages
+    ||g||_{U^2}^4 = sum_xi |g^(xi)|^4 over g = e(D_{h_1..h_{d-2}} f) for all
+    h_j in F_p^n, with g^ = p^-n * FFT(g); the derivative tables are gathers
+    of the value table, so the work is about p^{n(d-1)}, while the cap is
+    still charged the p^{n(d+1)} tuples of the average.  Sampled mode
+    evaluates f at the 2^d corners of each sampled cube, so it charges
+    samples * 2^d to that cap.
     """
     if d < 1:
         raise InputError("d must be >= 1")
     p, n = f.p, f.n
     if mode == "exact":
         caps.require_power("enum_cap", p, n * (d + 1))
+        if d == 1:
+            return exact_bias(f, caps).magnitude
         size = p ** n
-        table = np.array(f.eval_table(), dtype=np.int64)
-        shift = _shift_index_table(p, n)
-        phases = np.array(unit_phases(p))
-        signs_and_masks = [
-            ((-1) ** (d - bin(m).count("1")), m) for m in range(1 << d)
-        ]
-        total = 0j
-        for ys in points_lex(size, d):
-            # index of sum over the subset of directions, per mask
-            subset_idx = []
-            for _, m in signs_and_masks:
-                acc = 0
-                mm = m
-                j = 0
-                while mm:
-                    if mm & 1:
-                        acc = shift[acc, ys[j]]
-                    mm >>= 1
-                    j += 1
-                subset_idx.append(acc)
-            vals = np.zeros(size, dtype=np.int64)
-            for (sign, _), si in zip(signs_and_masks, subset_idx):
-                vals += sign * table[shift[si]]
-            total += phases[vals % p].sum()
-        mean = total / p ** (n * (d + 1))
+        tables = np.array(f.eval_table()).reshape(1, size)
+        shift = np.zeros((size, size), dtype=np.int64)  # shift[h, x] = index of x + h
+        for coord in np.indices((p,) * n).reshape(n, size):
+            shift = shift * p + (coord[:, None] + coord) % p
+        for _ in range(d - 2):  # one row per direction tuple (h_1..h_j)
+            tables = ((tables[:, shift] - tables[:, None, :]) % p).reshape(-1, size)
+        values, inverse = np.unique(tables.ravel(), return_inverse=True)
+        phases = np.array([_phase(int(v), p) for v in values])[inverse]
+        axes = tuple(range(1, n + 1))
+        hats = np.fft.fftn(phases.reshape((-1,) + (p,) * n), axes=axes) / size
+        mean = float((np.abs(hats) ** 4).sum(axis=axes).mean())
     elif mode == "sampled":
         if samples < 1:
             raise InputError("samples must be >= 1")
         caps.require_power("enum_cap", 2, d, samples)  # cube corners visited
         rng = np.random.default_rng(seed)
-        phases = unit_phases(p)
         total = 0j
         for _ in range(samples):
             val = 0
             for m, pt in enumerate(cube_corners(rng, p, n, d)):
                 sign = (-1) ** (d - bin(m).count("1"))
                 val += sign * f.eval(pt)
-            total += phases[val % p]
-        mean = total / samples
+            total += _phase(val % p, p)
+        mean = (total / samples).real
     else:
         raise InputError(f"unknown mode {mode!r}")
-    base = max(mean.real, 0.0)
-    return base ** (1.0 / (1 << d))
+    return max(mean, 0.0) ** (1.0 / (1 << d))

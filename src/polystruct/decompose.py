@@ -19,7 +19,7 @@ import numpy as np
 
 from . import factor as factor_mod
 from . import linalg
-from .bias import BIAS_TOL, CharacterSum, exact_bias, sampled_bias, unit_phases
+from .bias import BIAS_TOL, CharacterSum, exact_bias, sampled_bias
 from .config import Caps, DEFAULT_CAPS, DecomposeConfig, RegularizeConfig
 from .errors import (
     CapExceeded,
@@ -46,20 +46,6 @@ class Decomposition:
     seed: int | None = None
     k: int | None = None
     attempts: int = 1
-
-
-def argmin_level(avg: complex, mean_char: complex, p: int) -> int:
-    """The field element l minimizing |avg - e(-l) * mean_char|.
-
-    Ties within 1e-12 break toward the smallest canonical lift.
-    """
-    phases = unit_phases(p)
-    best_l, best_dist = 0, abs(avg - phases[0].conjugate() * mean_char)
-    for level in range(1, p):
-        dist = abs(avg - phases[level].conjugate() * mean_char)
-        if dist < best_dist - 1e-12:
-            best_l, best_dist = level, dist
-    return best_l
 
 
 def _check_bias(f: MultiPoly, s: int, caps: Caps, trust_bias: bool) -> CharacterSum:
@@ -113,6 +99,7 @@ def approx_decompose(
     k = k_override if k_override is not None else t + 2 * s + 3
     nonzero = tuple(b for b in monomials_upto(k, d, p) if any(b))
     target = 2.0 * p ** (-t)
+    reduced = functional_reduce(f)  # same function, exponents below p: cheap shifts
 
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
@@ -125,7 +112,7 @@ def approx_decompose(
         derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct direction
         for h in dirs:
             if h not in derivatives:
-                derivatives[h] = functional_reduce(derivative(f, [h]))
+                derivatives[h] = functional_reduce(derivative(reduced, [h]))
         polys = [derivatives[h] for h in dirs]
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(

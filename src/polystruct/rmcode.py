@@ -199,16 +199,11 @@ class SimplexFunction:
         return float((self.values * other.values).sum() / self.p**self.n)
 
 
-def _line_table(p: int, n: int, a: tuple[int, ...], b: int) -> tuple[int, ...]:
-    return tuple((sum(ai * xi for ai, xi in zip(a, x)) + b) % p for x in points_lex(p, n))
-
-
-def _centered_line(p: int, n: int, a: tuple[int, ...], b: int) -> np.ndarray:
-    size = p ** n
-    values = np.full((size, p), -1.0 / p)
-    table = _line_table(p, n, a, b)
-    values[np.arange(size), table] += 1.0
-    return values
+def _line_values(p: int, n: int, a: np.ndarray, b) -> np.ndarray:
+    """Row i holds a_i . x + b mod p at every point x, in lexicographic order;
+    b is a scalar or a column of per-row offsets."""
+    coords = np.indices((p,) * n).reshape(n, p ** n)
+    return (a @ coords + b) % p
 
 
 def simplex_fourier(
@@ -217,7 +212,9 @@ def simplex_fourier(
     """Coefficients of q(g) over the centered affine-line basis.
 
     alpha[a, b] = <q(g), q(l_{a,b})> - <q(g), q(l_{a,0})> for b != 0; the
-    reconstruction sum over the basis reproduces q(g) entrywise.
+    reconstruction sum over the basis reproduces q(g) entrywise.  Since
+    <q(g), q(l_{a,b})> = N_a(b) / p^n - 1/p with N_a(v) = #{x : g(x) - a.x = v},
+    alpha[a, b] = (N_a(b) - N_a(0)) / p^n, an exact multiple of p^-n.
     """
     if isinstance(g, MultiPoly):
         p, n = g.p, g.n
@@ -228,23 +225,30 @@ def simplex_fourier(
         table = tuple(int(v) % p for v in g)
     size = p ** n
     caps.require("enum_cap", size * (p - 1))
-    qg = SimplexFunction.embed(p, n, table=table).centered().values
+    slopes = np.indices((p,) * n).reshape(n, size).T  # every a, in lexicographic order
+    shifted = (np.array(table, dtype=np.int64) - _line_values(p, n, slopes, 0)) % p
+    rows = np.arange(size)[:, None] * p
+    counts = np.bincount((shifted + rows).ravel(), minlength=size * p).reshape(size, p)
     alphas: dict[tuple[tuple[int, ...], int], float] = {}
-    for a in points_lex(p, n):
-        base = float((qg * _centered_line(p, n, a, 0)).sum() / size)
-        for b in range(1, p):
-            val = float((qg * _centered_line(p, n, a, b)).sum() / size)
-            alphas[(a, b)] = val - base
+    for a, row in zip(points_lex(p, n), (counts[:, 1:] - counts[:, :1]).tolist()):
+        for b, diff in enumerate(row, start=1):
+            alphas[(a, b)] = diff / size
     return alphas
 
 
 def fourier_reconstruct(
     alphas: dict, p: int, n: int
 ) -> SimplexFunction:
+    """sum alpha[a, b] q(l_{a,b}): each coefficient lands on its line's entry per row."""
     size = p ** n
-    acc = np.zeros((size, p))
-    for (a, b), coeff in alphas.items():
-        acc += coeff * _centered_line(p, n, tuple(a), b)
+    keys = list(alphas)
+    slopes = np.array([a for a, _ in keys], dtype=np.int64).reshape(len(keys), n)
+    offsets = np.array([b for _, b in keys], dtype=np.int64)
+    coeffs = np.array([alphas[key] for key in keys], dtype=float)
+    cells = _line_values(p, n, slopes, offsets[:, None]) + np.arange(size) * p
+    weights = np.broadcast_to(coeffs[:, None], cells.shape)
+    acc = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=size * p)
+    acc = acc.reshape(size, p) - coeffs.sum() / p
     return SimplexFunction(p, n, acc, "centered")
 
 

@@ -3,11 +3,12 @@
 import cmath
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polystruct import oracle
 from polystruct.bias import exact_bias, gowers_norm, sampled_bias
@@ -121,6 +122,25 @@ def test_gowers_literal_identity_on_exhaustive_instances():
             assert abs(direct.imag) < 1e-7
             val = gowers_norm(f, d)
             assert abs(val ** (1 << d) - max(direct.real, 0.0)) < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(primes=(2, 3, 5), n_range=(0, 2)), st.integers(1, 3))
+@example(MultiPoly.constant(FieldCtx(3), 0, 2), 3)
+def test_exact_gowers_matches_the_literal_derivative_average(f, d):
+    # the Fourier route (U^1 from the bias, U^d from sum |g^|^4 over
+    # derivative tables) against the average over all (x, y_1..y_d) tuples
+    assume(f.p ** (f.n * (d + 1)) <= 2 * 10**4)
+    direct = _derivative_average(f, d)
+    assert abs(gowers_norm(f, d) ** (1 << d) - direct.real) <= 1e-12
+
+
+def test_exact_u3_of_a_cubic_over_f3_4_is_fast():
+    f = parse_poly("x1*x2*x3 + x4", 3)
+    start = time.perf_counter()
+    value = gowers_norm(f, 3, caps=Caps(enum_cap=10**8))
+    assert time.perf_counter() - start < 2.0
+    assert abs(value - 0.7688344053705295) <= 1e-12
 
 
 def test_gowers_u1_equals_bias_and_monotonicity():

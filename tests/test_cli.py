@@ -141,3 +141,27 @@ def test_huge_cube_orders_fail_fast_on_the_enumeration_cap(argv, capsys):
     assert code == EXIT_CAP
     assert time.perf_counter() - start < 1.0
     assert "enum_cap" in capsys.readouterr().err
+
+
+P61 = str(2**61 - 1)
+P64 = str(2**64 + 13)  # a prime above the int64 range
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias", "--p", P61, "--poly", "x1", "--mode", "sampled", "--samples", "10"],
+    ["gowers", "--p", P61, "--poly", "x1", "--d", "1", "--mode", "sampled", "--samples", "10"],
+    ["bias", "--p", P64, "--poly", str(2**64 + 12), "--mode", "sampled", "--samples", "10"],
+    ["gowers", "--p", P64, "--poly", str(2**64 + 12), "--d", "1"],
+    ["gowers", "--p", P64, "--poly", str(2**64 + 12), "--d", "2"],
+    ["gowers", "--p", P64, "--poly", str(2**64 + 12), "--d", "3"],
+    ["decompose", "--p", "3", "--poly", "x1^1000000000*x2", "--s", "1"],
+    ["regularize", "--p", "3", "--gens", "x1^1000000000*x2", "--s", "1"],
+])
+def test_huge_fields_and_exponents_answer_at_once(argv):
+    # phases only for values that occur; derivatives of the reduced polynomial
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert code == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    if argv[0] == "gowers" and argv[2] == P64:
+        assert json.loads(text)["norm"] == 1.0

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from polystruct.bias import exact_bias, unit_phases
+from polystruct.bias import exact_bias
 from polystruct.decompose import (
     INFINITE_RANK,
     Decomposition,
     approx_decompose,
-    argmin_level,
     decomposition_error,
     exact_decompose,
     quadratic_rank,
@@ -38,21 +37,6 @@ def test_basis_vectors_cardinality_bound():
         assert len(set(basis)) == len(basis)
 
 
-def test_argmin_level_inverts_the_derivative_identity():
-    # mu * e(-f(x)) equals the average over y of e(D_y f(x)); the argmin
-    # decoder recovers f(x) from that average whenever mu is nonzero
-    for text, p in [("x1*x2", 3), ("x1*x2", 5), ("x1*x2*x3", 3)]:
-        f = parse_poly(text, p)
-        mu = exact_bias(f).as_complex()
-        assert abs(mu) > 0
-        phases = unit_phases(p)
-        for x in points_lex(p, f.n):
-            avg = sum(
-                phases[derivative(f, [y]).eval(x)] for y in points_lex(p, f.n)
-            ) / p**f.n
-            assert argmin_level(avg, mu, p) == f.eval(x)
-
-
 def test_approx_decompose_constant_is_trivial():
     const = MultiPoly.constant(FieldCtx(5), 2, 3)
     dec = approx_decompose(const, s=1, t=2, seed=0)
@@ -70,6 +54,16 @@ def test_approx_decompose_quadratic_over_f5():
         assert g == functional_reduce(derivative(f, [h]))
     # the claimed error is the measured one
     assert decomposition_error(f, dec) == pytest.approx(dec.claimed_error, abs=1e-12)
+
+
+def test_approx_decompose_takes_derivatives_of_the_reduced_polynomial():
+    # x1^4*x2^3 is x1^2*x2 as a function on F_3^2; the degree that sizes the
+    # coefficient vectors b is still the unreduced 7
+    f = parse_poly("x1^4*x2^3", 3)
+    dec = approx_decompose(f, s=1, t=2, seed=0)
+    assert len(dec.directions) == len(monomials_upto(dec.k, 7, 3)) - 1
+    for g, h in zip(dec.polys, dec.directions):
+        assert g == functional_reduce(derivative(f, [h]))
 
 
 def test_approx_decompose_cubic_emits_quadratics():

@@ -8,7 +8,7 @@ import pytest
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded, InputError, UnsupportedError
 from polystruct.factor import PolynomialFactor
-from polystruct.ffpoly import FieldCtx, MultiPoly, parse_poly
+from polystruct.ffpoly import FieldCtx, MultiPoly, parse_poly, points_lex
 from polystruct.rmcode import (
     CentersSpec,
     RMParams,
@@ -127,6 +127,37 @@ def test_simplex_fourier_reconstruction_random():
         target = SimplexFunction.embed(3, 2, table=table).centered()
         assert np.abs(rec.values - target.values).max() < 1e-9
         assert all(-1 - 1e-12 <= v <= 1 + 1e-12 for v in alphas.values())
+
+
+def _fourier_from_the_definition(table, p, n):
+    """alpha[a, b] = <q(g), q(l_{a,b})> - <q(g), q(l_{a,0})> in exact arithmetic."""
+    size = p ** n
+    pts = list(points_lex(p, n))
+
+    def q(v, w):  # p times the centered one-hot entry [v = w] - 1/p
+        return p * (v == w) - 1
+
+    def inner(a, b):
+        lines = [(sum(ai * xi for ai, xi in zip(a, x)) + b) % p for x in pts]
+        total = sum(q(v, g) * q(v, line) for g, line in zip(table, lines) for v in range(p))
+        return Fraction(total, p * p * size)
+
+    return {(a, b): inner(a, b) - inner(a, 0) for a in pts for b in range(1, p)}
+
+
+def test_simplex_fourier_equals_the_exact_inner_products():
+    rng = np.random.default_rng(8)
+    for p in (2, 3, 5):
+        for n in (0, 1, 2):
+            for _ in range(3):
+                table = tuple(int(v) for v in rng.integers(0, p, size=p**n))
+                alphas = simplex_fourier(table, p=p, n=n)
+                reference = _fourier_from_the_definition(table, p, n)
+                assert list(alphas) == list(reference)
+                assert all(alphas[k] == float(reference[k]) for k in reference)
+                rec = fourier_reconstruct(alphas, p, n)
+                target = SimplexFunction.embed(p, n, table=table).centered()
+                assert np.abs(rec.values - target.values).max() < 1e-12
 
 
 def test_weak_regularity_hand_example():
