@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, InternalConsistencyError
@@ -126,12 +128,8 @@ def vanishes_on_variety(spec: IdealSpec, caps: Caps = DEFAULT_CAPS) -> bool:
     """Brute-force oracle: Q(x) = 0 at every common zero of the generators."""
     p, n = spec.query.p, spec.query.n
     caps.require("enum_cap", p ** n)
-    tables = [g.eval_table() for g in spec.generators]
-    qtab = spec.query.eval_table()
-    for i in range(p ** n):
-        if all(t[i] == 0 for t in tables) and qtab[i] != 0:
-            return False
-    return True
+    zeros = (np.array([g.eval_table() for g in spec.generators]) == 0).all(axis=0)
+    return not (np.array(spec.query.eval_table()) != 0)[zeros].any()
 
 
 @dataclass(frozen=True)

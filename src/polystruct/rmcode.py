@@ -2,6 +2,10 @@
 simplex-embedding toolkit (Fourier decomposition over centered line
 embeddings, greedy weak regularity, conditional expectations).
 
+A code is one read-only pair of small-int arrays, its coefficient grid and
+its codebook of value tables; list decoding, profiles and the minimum
+distance are row-wise Hamming distances, and only list members become MultiPolys.
+
 Functions F_p^n -> F_p are embedded into the probability simplex row by
 row: p(g) places a single 1 per row, q(g) = p(g) - 1/p centers it.  Inner
 products average over rows, so ||q(g)||^2 = 1 - 1/p.
@@ -9,7 +13,6 @@ products average over rows, so ||q(g)||^2 = 1 - 1/p.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,50 +55,44 @@ class RMParams:
 
 
 @lru_cache(maxsize=8)
-def _codewords(params: RMParams) -> tuple[tuple[MultiPoly, ...], tuple[tuple[int, ...], ...]]:
-    ctx = params.ctx
-    mons = monomials_upto(params.n, params.d, params.p)
-    polys = []
-    tables = []
-    for coeffs in itertools.product(range(params.p), repeat=len(mons)):
-        f = MultiPoly(ctx, params.n, dict(zip(mons, coeffs)))
-        polys.append(f)
-        tables.append(f.eval_table())
-    return tuple(polys), tuple(tables)
+def _codewords(params: RMParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N, m) coefficient grid over monomials_upto(n, d, p), rows in
+    itertools.product order, and (N, p^n) codebook of their value tables, in the
+    smallest unsigned dtype holding p - 1.  Each monomial t maps every book row r
+    to the p rows r + c*t mod p, c = 0..p-1, which keeps that order."""
+    p, n = params.p, params.n
+    mons = monomials_upto(n, params.d, p)
+    dtype = np.min_scalar_type(p - 1)
+    wide = np.min_scalar_type(2 * (p - 1))  # holds one sum before its reduction
+    grid = np.indices((p,) * len(mons), dtype=dtype).reshape(len(mons), -1).T
+    book = np.zeros((1, p ** n), dtype=dtype)
+    for e in mons:
+        table = np.array(MultiPoly(params.ctx, n, {e: 1}).eval_table())
+        multiples = (np.arange(p)[:, None] * table % p).astype(wide)
+        book = book[:, None, :] + multiples
+        book %= p
+        book = book.astype(dtype, copy=False).reshape(-1, p ** n)
+    grid.flags.writeable = False
+    book.flags.writeable = False
+    return grid, book
 
 
 def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
+    """The cached read-only (grid, book) pair; every codeword is charged to codeword_cap."""
     caps.require("codeword_cap", params.codeword_count())
     return _codewords(params)
 
 
-def _as_table(params: RMParams, center) -> tuple[int, ...]:
-    size = params.p ** params.n
-    if isinstance(center, MultiPoly):
-        return center.eval_table()
-    if callable(center):
-        return tuple(center(x) % params.p for x in points_lex(params.p, params.n))
-    table = tuple(int(v) % params.p for v in center)
-    if len(table) != size:
-        raise InputError(f"center table has {len(table)} entries, expected {size}")
-    return table
+def _distances(book: np.ndarray, target) -> np.ndarray:
+    """Hamming distance from every codeword to the target table."""
+    return np.count_nonzero(book != target, axis=1)
 
 
 def min_distance_empirical(params: RMParams, caps: Caps = DEFAULT_CAPS) -> Fraction:
     """min over nonzero codewords of Pr[f != 0]; equals 1 - d/p for d < p."""
-    _, tables = enumerate_codewords(params, caps)
-    size = params.p ** params.n
-    best = None
-    for table in tables:
-        weight = sum(1 for v in table if v)
-        if weight == 0:
-            continue
-        frac = Fraction(weight, size)
-        if best is None or frac < best:
-            best = frac
-    if best is None:
-        raise InputError("code has a single codeword")
-    return best
+    _, book = enumerate_codewords(params, caps)
+    weights = _distances(book, 0)
+    return Fraction(int(weights[weights > 0].min()), book.shape[1])
 
 
 @dataclass(frozen=True)
@@ -116,20 +113,27 @@ class ListResult:
 def list_decode_brute(
     params: RMParams, center, radius, caps: Caps = DEFAULT_CAPS, label: str = "center"
 ) -> ListResult:
-    """Exhaustive scan of every codeword against the center."""
-    target = _as_table(params, center)
-    polys, tables = enumerate_codewords(params, caps)
+    """Exhaustive scan of every codeword against the center; a MultiPoly is
+    built only for each codeword in the list."""
     size = params.p ** params.n
-    hits = []
-    for idx, (f, table) in enumerate(zip(polys, tables)):
-        dist = Fraction(sum(1 for a, b in zip(table, target) if a != b), size)
-        if float(dist) <= float(radius) + 1e-12:
-            hits.append((dist, idx, f))
-    hits.sort(key=lambda t: (t[0], t[1]))
+    if isinstance(center, MultiPoly):
+        center = center.eval_table()
+    target = np.array([int(v) % params.p for v in center])
+    if len(target) != size:
+        raise InputError(f"center table has {len(target)} entries, expected {size}")
+    grid, book = enumerate_codewords(params, caps)
+    dist = _distances(book, target)
+    hits = np.flatnonzero(dist / size <= float(radius) + 1e-12)
+    hits = hits[np.argsort(dist[hits], kind="stable")]
+    mons = monomials_upto(params.n, params.d, params.p)
     return ListResult(
         center_label=label,
         radius=float(radius),
-        entries=tuple((f, dist) for dist, _, f in hits),
+        entries=tuple(
+            (MultiPoly(params.ctx, params.n, dict(zip(mons, grid[i].tolist()))),
+             Fraction(int(dist[i]), size))
+            for i in hits
+        ),
     )
 
 
@@ -171,11 +175,8 @@ class SimplexFunction:
             raise InputError(f"unknown space tag {self.space!r}")
 
     @classmethod
-    def embed(cls, params_or_p, n: int | None = None, table=None) -> "SimplexFunction":
+    def embed(cls, p: int, n: int, table) -> "SimplexFunction":
         """p(g): one-hot rows for a field-valued function."""
-        p = params_or_p.p if isinstance(params_or_p, RMParams) else params_or_p
-        if isinstance(params_or_p, RMParams) and n is None:
-            n = params_or_p.n
         size = p ** n
         table = tuple(int(v) % p for v in table)
         if len(table) != size:
@@ -358,37 +359,35 @@ def list_size_profile(
     p, n, d = params.p, params.n, params.d
     if d < 1:
         raise InputError("profiles need d >= 1")
-    polys, tables = enumerate_codewords(params, caps)
+    _, book = enumerate_codewords(params, caps)
     size = p ** n
     rng = np.random.default_rng(seed)
-    center_list: list[tuple[str, int, tuple[int, ...]]] = []
-    for i in range(centers.random_count):
-        center_list.append(
-            ("random", i, tuple(int(v) for v in rng.integers(0, p, size=size)))
-        )
+    center_list = [
+        ("random", i, rng.integers(0, p, size=size)) for i in range(centers.random_count)
+    ]
     for i in range(centers.noisy_count):
-        base = tables[int(rng.integers(0, len(tables)))]
+        base = book[int(rng.integers(0, len(book)))].tolist()
         noisy = [
             int(rng.integers(0, p)) if rng.random() < centers.noise_rate else v
             for v in base
         ]
-        center_list.append(("noisy", i, tuple(noisy)))
+        center_list.append(("noisy", i, noisy))
     if centers.all_codewords:
-        for i, table in enumerate(tables):
-            center_list.append(("codeword", i, table))
+        center_list.extend(("codeword", i, row) for i, row in enumerate(book))
 
     radii = [(e, 1.0 - e / p - p ** float(-s)) for e in range(1, d + 1)]
+    limits = [(rho + 1e-12) * size for _, rho in radii]
+    # counts[k][j]: codewords within radius j of center k, one distance scan per center
+    counts = []
+    for _, _, target in center_list:
+        dist = _distances(book, target)
+        counts.append([int(np.count_nonzero(dist <= limit)) for limit in limits])
     rows = []
     max_by_radius: dict[float, int] = {}
-    for e, rho in radii:
-        threshold = rho + 1e-12
-        for kind, idx, target in center_list:
-            count = 0
-            for table in tables:
-                if sum(1 for a, b in zip(table, target) if a != b) <= threshold * size:
-                    count += 1
-            rows.append(ProfileRow(rho, kind, idx, count))
-            max_by_radius[rho] = max(max_by_radius.get(rho, 0), count)
+    for j, (_, rho) in enumerate(radii):
+        for (kind, idx, _), row in zip(center_list, counts):
+            rows.append(ProfileRow(rho, kind, idx, row[j]))
+            max_by_radius[rho] = max(max_by_radius.get(rho, 0), row[j])
     consistent = None
     if bound_constant is not None:
         consistent = all(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import InputError, InternalConsistencyError
 from .factor import PolynomialFactor, measurable_table, regularize
@@ -50,8 +52,8 @@ def count_points_exact(
     ctx, n = _ambient(generators, ctx, n)
     size = ctx.p ** n
     caps.require("enum_cap", size)
-    tables = [g.eval_table() for g in generators]
-    count = sum(1 for i in range(size) if all(t[i] == 0 for t in tables))
+    tables = np.array([g.eval_table() for g in generators]).reshape(len(generators), size)
+    count = int(np.count_nonzero((tables == 0).all(axis=0)))
     return VarietyReport(
         exact_count=count,
         approx_count=None,

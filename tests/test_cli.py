@@ -165,3 +165,12 @@ def test_huge_fields_and_exponents_answer_at_once(argv):
     assert time.perf_counter() - start < 1.0
     if argv[0] == "gowers" and argv[2] == P64:
         assert json.loads(text)["norm"] == 1.0
+
+
+def test_wide_code_minimum_distance_answers_at_once():
+    # 8,192 codewords of 4,096 points: one array scan, no per-codeword objects
+    start = time.perf_counter()
+    code, text = run(["rm", "mindist", "--p", "2", "--n", "12", "--d", "1"])
+    assert code == EXIT_OK
+    assert time.perf_counter() - start < 1.5
+    assert json.loads(text)["min_distance"] == "1/2"

@@ -151,3 +151,25 @@ def test_radical_agreement_on_random_instances():
         q = random_poly(rng, ctx, n, 2)
         report = radical_membership(IdealSpec(gens, q), d_max=2)
         assert report.oracle_agrees
+
+
+def test_vanishing_matches_a_pointwise_scan():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        p = int(rng.choice([2, 3, 5]))
+        ctx = FieldCtx(p)
+        n = int(rng.integers(0, 3))
+        gens = [random_poly(rng, ctx, n, 2) for _ in range(int(rng.integers(1, 3)))]
+        q = random_poly(rng, ctx, n, 2)
+        tables = [g.eval_table() for g in gens]
+        want = all(
+            q.eval(x) == 0
+            for i, x in enumerate(points_lex(p, n))
+            if all(t[i] == 0 for t in tables)
+        )
+        assert vanishes_on_variety(IdealSpec(gens, q)) is want
+    big = 2**64 + 13  # a prime above the int64 range: object-dtype tables
+    one = parse_poly(str(big - 1), big, n=0)
+    zero = parse_poly("0", big, n=0)
+    assert vanishes_on_variety(IdealSpec([one], one)) is True
+    assert vanishes_on_variety(IdealSpec([zero], one)) is False

@@ -1,19 +1,23 @@
 """Reed-Muller enumeration, list decoding, and the simplex toolkit."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from polystruct import oracle
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded, InputError, UnsupportedError
 from polystruct.factor import PolynomialFactor
-from polystruct.ffpoly import FieldCtx, MultiPoly, parse_poly, points_lex
+from polystruct.ffpoly import FieldCtx, MultiPoly, monomials_upto, parse_poly, points_lex
 from polystruct.rmcode import (
     CentersSpec,
     RMParams,
     SimplexFunction,
     conditional_expectation,
+    enumerate_codewords,
     fourier_reconstruct,
     johnson_bound,
     list_decode_brute,
@@ -282,3 +286,134 @@ def test_rank_graph_reduction_cases():
 
     with pytest.raises(UnsupportedError):
         rank_graph_reduction(RMParams(3, 1, 1), [0, 0, 0], 0.3, k=1)
+
+
+def _naive_codewords(params):
+    """(coefficients, table) per codeword in itertools.product order, one
+    MultiPoly at a time: the order the codebook rows must follow."""
+    mons = monomials_upto(params.n, params.d, params.p)
+    out = []
+    for coeffs in itertools.product(range(params.p), repeat=len(mons)):
+        f = MultiPoly(params.ctx, params.n, dict(zip(mons, coeffs)))
+        out.append((coeffs, f.eval_table()))
+    return out
+
+
+@pytest.mark.parametrize("p,n,d", [
+    (2, 1, 1), (2, 3, 1), (3, 1, 2), (3, 2, 2), (5, 1, 2), (5, 2, 1), (7, 1, 3), (7, 2, 1),
+])
+def test_codebook_rows_follow_the_coefficient_grid(p, n, d):
+    params = RMParams(p, n, d)
+    grid, book = enumerate_codewords(params)
+    naive = _naive_codewords(params)
+    assert book.dtype == np.uint8 and grid.dtype == np.uint8
+    assert book.shape == (params.codeword_count(), p ** n)
+    assert [tuple(row) for row in grid.tolist()] == [c for c, _ in naive]
+    assert [tuple(row) for row in book.tolist()] == [t for _, t in naive]
+
+
+def test_cached_codebook_is_read_only():
+    params = RMParams(3, 2, 1)
+    grid, book = enumerate_codewords(params)
+    with pytest.raises(ValueError):
+        book[0, 0] = 1
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+    again = enumerate_codewords(params)
+    assert again[0] is grid and again[1] is book
+
+
+def test_center_of_the_wrong_length_is_an_input_error():
+    params = RMParams(3, 2, 1)
+    with pytest.raises(InputError):
+        list_decode_brute(params, [0, 0, 0], 0.5)
+    with pytest.raises(InputError):
+        list_decode_brute(params, parse_poly("x1", 3, n=1), 0.5)
+
+
+@st.composite
+def list_decode_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 2))
+    params = RMParams(p, n, draw(st.integers(0, p - 1)))
+    assume(params.codeword_count() <= 729)
+    size = p ** n
+    values = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        center = draw(st.lists(values, min_size=size, max_size=size))
+    else:  # a codeword with a few entries redrawn
+        mons = monomials_upto(n, params.d, p)
+        coeffs = draw(st.lists(values, min_size=len(mons), max_size=len(mons)))
+        center = list(MultiPoly(params.ctx, n, dict(zip(mons, coeffs))).eval_table())
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            center[i] = draw(values)
+    radius = draw(st.one_of(
+        st.integers(0, size).map(lambda k: k / size),
+        st.integers(0, size).map(lambda k: Fraction(k, size)),
+        st.integers(1, size).map(lambda k: k / size - 1e-12),  # the edge of the slack
+        st.floats(0, 1),
+    ))
+    return params, center, radius
+
+
+@settings(max_examples=80, deadline=None)
+@given(list_decode_cases())
+def test_list_decode_matches_the_oracle_in_grid_order(case):
+    params, center, radius = case
+    size = params.p ** params.n
+    expected = []
+    for idx, (_, table) in enumerate(_naive_codewords(params)):
+        dist = Fraction(sum(1 for a, b in zip(table, center) if a != b), size)
+        if float(dist) <= float(radius) + 1e-12:
+            expected.append((dist, idx, table))
+    expected.sort(key=lambda t: t[:2])  # by distance, ties in grid order
+
+    result = list_decode_brute(params, center, radius)
+    tables = [f.eval_table() for f in result.polys()]
+    dists = [dist for _, dist in result.entries]
+    assert tables == [t for _, _, t in expected]
+    assert dists == [dist for dist, _, _ in expected]
+    assert dists == sorted(dists)
+    assert sorted(tables) == oracle.oracle_list_decode(
+        params.p, params.n, params.d, center, radius
+    )
+
+
+def _naive_profile(params, s, centers, seed):
+    """The list-size profile by one per-codeword loop per (radius, center)."""
+    p, n, d = params.p, params.n, params.d
+    tables = [t for _, t in _naive_codewords(params)]
+    size = p ** n
+    rng = np.random.default_rng(seed)
+    center_list = []
+    for i in range(centers.random_count):
+        center_list.append(("random", i, tuple(int(v) for v in rng.integers(0, p, size=size))))
+    for i in range(centers.noisy_count):
+        base = tables[int(rng.integers(0, len(tables)))]
+        noisy = [
+            int(rng.integers(0, p)) if rng.random() < centers.noise_rate else v for v in base
+        ]
+        center_list.append(("noisy", i, tuple(noisy)))
+    if centers.all_codewords:
+        center_list.extend(("codeword", i, t) for i, t in enumerate(tables))
+    rows = []
+    for e in range(1, d + 1):
+        rho = 1.0 - e / p - p ** float(-s)
+        for kind, idx, target in center_list:
+            count = 0
+            for table in tables:
+                if sum(1 for a, b in zip(table, target) if a != b) <= (rho + 1e-12) * size:
+                    count += 1
+            rows.append((rho, kind, idx, count))
+    return rows
+
+
+@pytest.mark.parametrize("p,n,d,s", [(3, 2, 1, 1), (3, 1, 2, 2), (5, 1, 2, 1)])
+def test_list_size_profile_matches_a_naive_loop(p, n, d, s):
+    params = RMParams(p, n, d)
+    centers = CentersSpec(random_count=6, noisy_count=6, all_codewords=True)
+    prof = list_size_profile(params, s=s, centers=centers, seed=7)
+    rows = [(r.radius, r.center_kind, r.center_index, r.list_size) for r in prof.rows]
+    assert rows == _naive_profile(params, s, centers, seed=7)
+    for rho, size in prof.max_by_radius.items():
+        assert size == max(count for r, _, _, count in rows if r == rho)

@@ -25,6 +25,19 @@ def test_exact_count_examples():
         count_points_exact([parse_poly("x1*x2", 3)], caps=Caps(enum_cap=4))
 
 
+P65 = 2**64 + 13  # a prime above the int64 range: object-dtype tables
+
+
+def test_exact_count_edge_cases():
+    ctx = FieldCtx(3)
+    assert count_points_exact([], ctx, 2).exact_count == 9
+    assert count_points_exact([], ctx, 0).exact_count == 1
+    assert count_points_exact([parse_poly("0", 3, n=0)]).exact_count == 1
+    assert count_points_exact([parse_poly("2", 3, n=0)]).exact_count == 0
+    assert count_points_exact([parse_poly(str(P65 - 1), P65, n=0)]).exact_count == 0
+    assert count_points_exact([parse_poly("0", P65, n=0)]).exact_count == 1
+
+
 def test_regularized_count_examples():
     rep = count_points_regularized([parse_poly("x1", 3, n=2)], s=1)
     assert rep.reduced_dimension == 1 and rep.approx_count == 3
