@@ -61,29 +61,18 @@ def exact_bias(f: MultiPoly, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
     """E_x[e(f(x))] over the full domain, from the count of each value."""
     size = f.p ** f.n
     caps.require("enum_cap", size)
-    values, counts = np.unique(np.array(f.eval_table()), return_counts=True)
+    values, counts = np.unique(f.eval_table(), return_counts=True)
     return bias_from_counts(values, counts, f.p, size)
 
 
-def sampled_bias(f: MultiPoly, samples: int, seed: int, caps: Caps = DEFAULT_CAPS) -> CharacterSum:
+def sampled_bias(f: MultiPoly, samples: int, seed: int) -> CharacterSum:
     """Unbiased Monte Carlo estimate of exact_bias, deterministic given seed."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, f.p, size=(samples, f.n))
-    if f.p ** f.n <= caps.enum_cap:
-        table = np.array(f.eval_table())
-        idx = np.zeros(samples, dtype=np.int64)
-        for column in pts.T:
-            idx = idx * f.p + column
-        values, inverse = np.unique(table[idx], return_inverse=True)
-        phases = np.array([_phase(int(v), f.p) for v in values])  # values that occur
-        mean = phases[inverse].mean() if f.n else phases[0] + 0j
-    else:
-        total = 0j
-        for row in pts:
-            total += _phase(f.eval(tuple(int(v) for v in row)), f.p)
-        mean = total / samples
+    pts = np.random.default_rng(seed).integers(0, f.p, size=(samples, f.n))
+    values, inverse = np.unique(f.eval_points(pts), return_inverse=True)
+    phases = np.array([_phase(int(v), f.p) for v in values])  # values that occur
+    mean = phases[inverse].mean() if f.n else phases[0] + 0j
     return CharacterSum(float(mean.real), float(mean.imag), samples)
 
 
@@ -113,7 +102,7 @@ def gowers_norm(
         if d == 1:
             return exact_bias(f, caps).magnitude
         size = p ** n
-        tables = np.array(f.eval_table()).reshape(1, size)
+        tables = f.eval_table().reshape(1, size)
         shift = np.zeros((size, size), dtype=np.int64)  # shift[h, x] = index of x + h
         for coord in np.indices((p,) * n).reshape(n, size):
             shift = shift * p + (coord[:, None] + coord) % p
@@ -128,14 +117,13 @@ def gowers_norm(
         if samples < 1:
             raise InputError("samples must be >= 1")
         caps.require_power("enum_cap", 2, d, samples)  # cube corners visited
-        rng = np.random.default_rng(seed)
+        signs = np.array([(-1) ** (d - bin(m).count("1")) for m in range(1 << d)])
+        dtype = np.int64 if (1 << d) * p < 2**63 else object  # signed corner sums stay exact
         total = 0j
-        for _ in range(samples):
-            val = 0
-            for m, pt in enumerate(cube_corners(rng, p, n, d)):
-                sign = (-1) ** (d - bin(m).count("1"))
-                val += sign * f.eval(pt)
-            total += _phase(val % p, p)
+        for corners in cube_corners(np.random.default_rng(seed), p, n, d, samples):
+            values = f.eval_points(corners).reshape(-1, 1 << d)
+            for val in (values.astype(dtype) @ signs % p).tolist():
+                total += _phase(val, p)
         mean = (total / samples).real
     else:
         raise InputError(f"unknown mode {mode!r}")

@@ -9,6 +9,7 @@ which is echoed in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -136,7 +137,7 @@ def _cmd_bias(args, run: RunConfig, out) -> int:
         cs = bias_mod.exact_bias(f, run.caps)
         seed = None
     else:
-        cs = bias_mod.sampled_bias(f, args.samples, run.seed, run.caps)
+        cs = bias_mod.sampled_bias(f, args.samples, run.seed)
         seed = run.seed
     _emit(_character_payload(cs, args.mode, seed), run.fmt, out)
     return EXIT_OK
@@ -471,7 +472,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap-reduced", type=int, default=Caps.reduced_scan_cap)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="polystruct", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -52,7 +52,7 @@ def _check_bias(f: MultiPoly, s: int, caps: Caps, trust_bias: bool) -> Character
     if f.p ** f.n <= caps.enum_cap:
         mu = exact_bias(f, caps)
     elif trust_bias:
-        mu = sampled_bias(f, 4096, 0, caps)
+        mu = sampled_bias(f, 4096, 0)
     else:
         raise CapExceeded(
             "bias precondition cannot be verified exhaustively; pass trust_bias=True"
@@ -67,12 +67,12 @@ def _check_bias(f: MultiPoly, s: int, caps: Caps, trust_bias: bool) -> Character
 def _fit_table(f, polys, caps, samples, rng):
     """Plurality table over observed derivative tuples, plus the miss rate."""
     p, n = f.p, f.n
+    factor = factor_mod.PolynomialFactor(polys)
     if p ** n <= caps.enum_cap:
-        factor = factor_mod.PolynomialFactor(polys)
         table, _, agreement = factor_mod.measurable_table(f, factor, caps)
         return table, 1.0 - agreement
-    pts = [tuple(int(v) for v in row) for row in rng.integers(0, p, size=(samples, n))]
-    votes = ((tuple(g.eval(x) for g in polys), f.eval(x)) for x in pts)
+    pts = rng.integers(0, p, size=(samples, n))
+    votes = zip(factor.atoms_at(pts), f.eval_points(pts).tolist())
     table, hits, _ = factor_mod._plurality_vote(votes, p, len(polys))
     return table, 1.0 - hits / samples
 
@@ -99,7 +99,6 @@ def approx_decompose(
     k = k_override if k_override is not None else t + 2 * s + 3
     nonzero = tuple(b for b in monomials_upto(k, d, p) if any(b))
     target = 2.0 * p ** (-t)
-    reduced = functional_reduce(f)  # same function, exponents below p: cheap shifts
 
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
@@ -112,7 +111,7 @@ def approx_decompose(
         derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct direction
         for h in dirs:
             if h not in derivatives:
-                derivatives[h] = functional_reduce(derivative(reduced, [h]))
+                derivatives[h] = functional_reduce(derivative(f, [h]))
         polys = [derivatives[h] for h in dirs]
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(
@@ -146,25 +145,18 @@ def decomposition_error(
     if not dec.polys and not dec.gamma.is_total():
         raise PreconditionError("empty decomposition with a partial table")
     p, n = f.p, f.n
+    factor = factor_mod.PolynomialFactor(dec.polys)
     if mode == "exact":
         size = p ** n
         caps.require("enum_cap", size)
-        cols = [g.eval_table() for g in dec.polys]
-        ftab = f.eval_table()
-        misses = sum(
-            1 for i in range(size) if dec.gamma(tuple(col[i] for col in cols)) != ftab[i]
-        )
-        return misses / size
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        pts = rng.integers(0, p, size=(samples, n))
-        misses = 0
-        for row in pts:
-            x = tuple(int(v) for v in row)
-            if dec.gamma(tuple(g.eval(x) for g in dec.polys)) != f.eval(x):
-                misses += 1
-        return misses / samples
-    raise InputError(f"unknown mode {mode!r}")
+        atoms = factor.atom_table() if dec.polys else [()] * size
+        values = f.eval_table().tolist()
+    elif mode == "sampled":
+        pts = np.random.default_rng(seed).integers(0, p, size=(samples, n))
+        atoms, values = factor.atoms_at(pts), f.eval_points(pts).tolist()
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    return sum(1 for atom, v in zip(atoms, values) if dec.gamma(atom) != v) / len(values)
 
 
 def _bias_exponent(magnitude: float, p: int) -> int:

@@ -72,14 +72,15 @@ class PolynomialFactor:
         """||B||: the number of atoms including empty ones."""
         return self.p ** self.c if self.polys else 1
 
-    def atom_of(self, x) -> tuple[int, ...]:
-        return tuple(g.eval(x) for g in self.polys)
-
     def atom_table(self) -> list[tuple[int, ...]]:
-        """Atom of every point in lexicographic order."""
-        cols = [g.eval_table() for g in self.polys]
-        size = self.p ** self.n
-        return [tuple(col[i] for col in cols) for i in range(size)]
+        """Atom of every point in lexicographic order, as tuples of ints."""
+        return list(zip(*(g.eval_table().tolist() for g in self.polys)))
+
+    def atoms_at(self, points) -> list[tuple[int, ...]]:
+        """Atom of each row of an (m, n) point array, as tuples of ints."""
+        if not self.polys:
+            return [()] * len(points)
+        return list(zip(*(g.eval_points(points).tolist() for g in self.polys)))
 
 
 def combine(factor: PolynomialFactor, coeffs) -> MultiPoly:
@@ -103,18 +104,14 @@ def atom_histogram(
     if not factor.polys:
         raise InputError("empty factor has no ambient dimension to enumerate")
     p, n = factor.p, factor.n
-    counts: Counter = Counter()
     if samples is None:
         caps.require("enum_cap", p ** n)
-        for atom in factor.atom_table():
-            counts[atom] += 1
+        atoms = factor.atom_table()
+    elif samples < 1:
+        raise InputError("samples must be >= 1")
     else:
-        if samples < 1:
-            raise InputError("samples must be >= 1")
-        rng = np.random.default_rng(seed)
-        for row in rng.integers(0, p, size=(samples, n)):
-            counts[factor.atom_of(tuple(int(v) for v in row))] += 1
-    return dict(counts)
+        atoms = factor.atoms_at(np.random.default_rng(seed).integers(0, p, size=(samples, n)))
+    return dict(Counter(atoms))
 
 
 def find_biased_combination(
@@ -137,7 +134,7 @@ def find_biased_combination(
     threshold = p ** (-s) - BIAS_TOL
     vectors = [a for a in monomials_upto(c, c * (p - 1), p) if any(a)]
     dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
-    tables = np.array([g.eval_table() for g in factor.polys], dtype=dtype)
+    tables = np.stack([g.eval_table() for g in factor.polys]).astype(dtype, copy=False)
     phases = np.exp(2j * np.pi * np.arange(p) / p)
     rows = max(1, _SCAN_CHUNK // max(size, p))
     for start in range(0, len(vectors), rows):
@@ -277,7 +274,7 @@ def measurable_table(
     size = p ** n
     caps.require("enum_cap", size)
     atoms = factor.atom_table() if factor.polys else [()] * size
-    table, hits, exact = _plurality_vote(zip(atoms, f.eval_table()), p, factor.c)
+    table, hits, exact = _plurality_vote(zip(atoms, f.eval_table().tolist()), p, factor.c)
     return table, exact, hits / size
 
 
@@ -366,10 +363,10 @@ def parallelepiped_check(
         if deg >= 1
     )
     predicted = p ** (-(factor.c + exponent))
-    rng = np.random.default_rng(seed)
     counts: Counter = Counter()
-    for _ in range(samples):
-        counts[tuple(factor.atom_of(pt) for pt in cube_corners(rng, p, n, k))] += 1
+    for corners in cube_corners(np.random.default_rng(seed), p, n, k, samples):
+        atoms = factor.atoms_at(corners)
+        counts.update(tuple(atoms[i:i + (1 << k)]) for i in range(0, len(atoms), 1 << k))
     max_dev = max(abs(cnt / samples - predicted) for cnt in counts.values())
     return ParallelepipedReport(
         k=k,

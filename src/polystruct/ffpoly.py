@@ -94,20 +94,24 @@ def monomials_upto(n: int, degree: int, p: int) -> list[Monomial]:
     return [e for level in by_sum for e in level]
 
 
-def cube_corners(rng, p: int, n: int, k: int) -> Iterator[Monomial]:
-    """Corners x + sum_{j in mask} y_j mod p of a random cube, in mask order.
+_CORNER_BATCH = 1 << 14  # corners per batch; samples * 2^k may reach the enumeration cap
 
-    Draws x, then y_1..y_k, from rng when iteration starts; masks run over
-    0..2^k - 1, one corner at a time, so 2^k corners are never held at once.
+
+def cube_corners(rng, p: int, n: int, k: int, samples: int) -> Iterator[np.ndarray]:
+    """Corners x + sum_{j in mask} y_j mod p of `samples` random cubes.
+
+    Draws x, then y_1..y_k, for one cube after another; yields (s * 2^k, n)
+    arrays of s whole cubes in mask order, s * 2^k <= _CORNER_BATCH unless s = 1.
     """
-    x = rng.integers(0, p, size=n)
-    ys = rng.integers(0, p, size=(k, n))
-    for mask in range(1 << k):
-        pt = x.copy()
+    per = max(1, _CORNER_BATCH >> k)
+    for start in range(0, samples, per):
+        draws = [(rng.integers(0, p, size=n), rng.integers(0, p, size=(k, n)))
+                 for _ in range(min(per, samples - start))]
+        corners = np.stack([x for x, _ in draws])[:, None, :]
+        ys = np.stack([y for _, y in draws])
         for j in range(k):
-            if mask >> j & 1:
-                pt = pt + ys[j]
-        yield tuple(int(v) % p for v in pt)
+            corners = np.concatenate([corners, (corners + ys[:, j, None, :]) % p], axis=1)
+        yield corners.reshape(len(draws) << k, n)
 
 
 def grlex_key(e: Monomial):
@@ -264,43 +268,56 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def _evaluate(self, axes, shape):
+        """Values mod p as an array of `shape`; axes[i] = (values, index) holds the
+        distinct values of coordinate i as ints in [0, p) and an index into them
+        that broadcasts to shape.  pow(v, e, p) is taken once per (variable,
+        exponent) and distinct value, then gathered; object dtype keeps products
+        exact when (p-1)^2 overflows int64."""
+        p = self.p
+        dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+        powers = {}
+        out = np.zeros(shape, dtype=dtype)
+        for e, c in self.terms.items():
+            term = c
+            for i, ei in enumerate(e):
+                if ei:
+                    if (i, ei) not in powers:
+                        values, index = axes[i]
+                        powers[i, ei] = np.array([pow(v, ei, p) for v in values], dtype=dtype)[index]
+                    term = term * powers[i, ei] % p
+            out = (out + term) % p
+        return np.asarray(out, dtype=dtype)
+
     def eval(self, x) -> int:
         if len(x) != self.n:
             raise InputError(f"point has length {len(x)}, expected {self.n}")
-        p = self.p
-        x = [int(v) % p for v in x]
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    v = (v * pow(xi, ei, p)) % p
-            total += v
-        return total % p
+        return int(self._evaluate([([int(v) % self.p], 0) for v in x], ()))
 
-    def eval_table(self) -> tuple[int, ...]:
-        """Values at all p^n points in lexicographic order (cached).
+    def eval_points(self, points) -> np.ndarray:
+        """Values at the rows of an (m, n) integer array, reduced mod p first."""
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise InputError(f"points have shape {pts.shape}, expected (m, {self.n})")
+        exact = np.can_cast(pts.dtype, np.int64) and self.p < 2**63
+        pts = pts.astype(np.int64 if exact else object, copy=False)
+        axes = [np.unique(column % self.p, return_inverse=True) for column in pts.T]
+        return self._evaluate([(v.tolist(), i) for v, i in axes], (len(pts),))
 
-        Each term is a product of per-variable power vectors broadcast over
-        shape (p,)*n, reduced mod p after every multiply and add; object
-        dtype keeps the products exact when (p-1)^2 overflows int64.
-        """
+    def eval_table(self) -> np.ndarray:
+        """Values at all p^n points in lexicographic order, cached read-only;
+        coordinate i runs over 0..p-1 along axis i, with no coordinate grid."""
         if self._table is None:
             p, n = self.p, self.n
-            dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-            table = np.zeros((p,) * n, dtype=dtype)
-            for e, c in self.terms.items():
-                term = np.array(c, dtype=dtype)
-                for i, ei in enumerate(e):
-                    if ei:
-                        power = np.array([pow(x, ei, p) for x in range(p)], dtype=dtype)
-                        term = term * power.reshape((1,) * i + (p,) + (1,) * (n - i - 1)) % p
-                table = (table + term) % p
-            object.__setattr__(self, "_table", tuple(np.ravel(table).tolist()))
+            axes = [(range(p), np.arange(p).reshape((1,) * i + (p,) + (1,) * (n - i - 1)))
+                    for i in range(n)]
+            table = self._evaluate(axes, (p,) * n).reshape(-1)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
         return self._table
 
     def shift(self, h) -> "MultiPoly":
-        """The polynomial x -> f(x + h) for a constant vector h."""
+        """The polynomial x -> f(x + h), expanded from functional_reduce(f)."""
         if len(h) != self.n:
             raise InputError(f"direction has length {len(h)}, expected {self.n}")
         p = self.p
@@ -310,6 +327,7 @@ class MultiPoly:
             # expand prod_i (x_i + h_i)^{e_i}
             partial = {(): c}
             for ei, hi in zip(e, h):
+                ei = ((ei - 1) % (p - 1)) + 1 if ei else 0  # as in functional_reduce
                 nxt: dict[Monomial, int] = {}
                 for k in range(ei + 1):
                     w = (math.comb(ei, k) * pow(hi, ei - k, p)) % p
@@ -336,7 +354,7 @@ class MultiPoly:
 
 
 def derivative(f: MultiPoly, dirs) -> MultiPoly:
-    """Iterated directional derivative: successive f(x+h) - f(x)."""
+    """Iterated directional derivative: successive f(x+h) - f(x), as functions."""
     g = f
     for h in dirs:
         g = g.shift(h) - g

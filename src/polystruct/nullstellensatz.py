@@ -129,7 +129,7 @@ def vanishes_on_variety(spec: IdealSpec, caps: Caps = DEFAULT_CAPS) -> bool:
     p, n = spec.query.p, spec.query.n
     caps.require("enum_cap", p ** n)
     zeros = (np.array([g.eval_table() for g in spec.generators]) == 0).all(axis=0)
-    return not (np.array(spec.query.eval_table()) != 0)[zeros].any()
+    return not (spec.query.eval_table() != 0)[zeros].any()
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def _codewords(params: RMParams) -> tuple[np.ndarray, np.ndarray]:
     grid = np.indices((p,) * len(mons), dtype=dtype).reshape(len(mons), -1).T
     book = np.zeros((1, p ** n), dtype=dtype)
     for e in mons:
-        table = np.array(MultiPoly(params.ctx, n, {e: 1}).eval_table())
+        table = MultiPoly(params.ctx, n, {e: 1}).eval_table()
         multiples = (np.arange(p)[:, None] * table % p).astype(wide)
         book = book[:, None, :] + multiples
         book %= p
@@ -84,8 +84,8 @@ def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
 
 
 def _distances(book: np.ndarray, target) -> np.ndarray:
-    """Hamming distance from every codeword to the target table."""
-    return np.count_nonzero(book != target, axis=1)
+    """Hamming distance from every codeword to the target table, entries in [0, p)."""
+    return np.count_nonzero(book != np.asarray(target, dtype=book.dtype), axis=1)
 
 
 def min_distance_empirical(params: RMParams, caps: Caps = DEFAULT_CAPS) -> Fraction:
@@ -118,9 +118,9 @@ def list_decode_brute(
     size = params.p ** params.n
     if isinstance(center, MultiPoly):
         center = center.eval_table()
-    target = np.array([int(v) % params.p for v in center])
-    if len(target) != size:
-        raise InputError(f"center table has {len(target)} entries, expected {size}")
+    target = np.asarray(center) % params.p
+    if target.shape != (size,):
+        raise InputError(f"center table has shape {target.shape}, expected ({size},)")
     grid, book = enumerate_codewords(params, caps)
     dist = _distances(book, target)
     hits = np.flatnonzero(dist / size <= float(radius) + 1e-12)
@@ -178,9 +178,9 @@ class SimplexFunction:
     def embed(cls, p: int, n: int, table) -> "SimplexFunction":
         """p(g): one-hot rows for a field-valued function."""
         size = p ** n
-        table = tuple(int(v) % p for v in table)
-        if len(table) != size:
-            raise InputError(f"table has {len(table)} entries, expected {size}")
+        table = np.asarray(table) % p
+        if table.shape != (size,):
+            raise InputError(f"table has shape {table.shape}, expected ({size},)")
         values = np.zeros((size, p))
         values[np.arange(size), table] = 1.0
         return cls(p, n, values, "delta")
@@ -223,11 +223,11 @@ def simplex_fourier(
     else:
         if p is None or n is None:
             raise InputError("raw tables need explicit p and n")
-        table = tuple(int(v) % p for v in g)
+        table = np.asarray(g) % p
     size = p ** n
     caps.require("enum_cap", size * (p - 1))
     slopes = np.indices((p,) * n).reshape(n, size).T  # every a, in lexicographic order
-    shifted = (np.array(table, dtype=np.int64) - _line_values(p, n, slopes, 0)) % p
+    shifted = (table.astype(np.int64) - _line_values(p, n, slopes, 0)) % p
     rows = np.arange(size)[:, None] * p
     counts = np.bincount((shifted + rows).ravel(), minlength=size * p).reshape(size, p)
     alphas: dict[tuple[tuple[int, ...], int], float] = {}

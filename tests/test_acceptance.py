@@ -409,7 +409,8 @@ def test_14_dual_agreement():
         center = tuple(int(v) for v in rng.integers(0, 3, size=3))
         radius = float(rng.choice([0.0, 1 / 3, 2 / 3, 1.0]))
         ours = sorted(
-            f.eval_table() for f in list_decode_brute(params, center, radius).polys()
+            tuple(f.eval_table().tolist())
+            for f in list_decode_brute(params, center, radius).polys()
         )
         theirs = oracle.oracle_list_decode(3, 1, 1, center, radius)
         assert ours == theirs

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polystruct.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_OK, dispatch
+from polystruct.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_OK, build_parser, dispatch
 
 
 def run(argv):
@@ -53,6 +53,23 @@ def test_byte_identical_reruns():
 def test_unknown_subcommand_is_usage_error():
     code, _ = run(["frobnicate"])
     assert code == EXIT_DOMAIN
+
+
+def test_dispatches_in_one_process_share_the_parser():
+    exact = run(["bias", "--p", "3", "--poly", "x1*x2"])
+    sampled = run(["bias", "--p", "3", "--poly", "x1*x2", "--mode", "sampled", "--seed", "4"])
+    assert exact[0] == sampled[0] == EXIT_OK
+    assert json.loads(sampled[1])["mode"] == "sampled"
+    # options of one dispatch do not leak into the next
+    assert run(["bias", "--p", "3", "--poly", "x1*x2"]) == exact
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_after_a_successful_dispatch_exits_1():
+    assert run(["count", "--p", "3", "--gens", "x1*x2", "--n", "2"])[0] == EXIT_OK
+    assert run(["count", "--p", "3", "--gens", "x1*x2", "--mode", "bogus"])[0] == EXIT_DOMAIN
+    assert run(["bias", "--p", "3"])[0] == EXIT_DOMAIN
+    assert run(["count", "--p", "3", "--gens", "x1*x2", "--n", "2"])[0] == EXIT_OK
 
 
 def test_cap_exceeded_exit_code():

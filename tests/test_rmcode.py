@@ -295,7 +295,7 @@ def _naive_codewords(params):
     out = []
     for coeffs in itertools.product(range(params.p), repeat=len(mons)):
         f = MultiPoly(params.ctx, params.n, dict(zip(mons, coeffs)))
-        out.append((coeffs, f.eval_table()))
+        out.append((coeffs, tuple(f.eval_table().tolist())))
     return out
 
 
@@ -369,7 +369,7 @@ def test_list_decode_matches_the_oracle_in_grid_order(case):
     expected.sort(key=lambda t: t[:2])  # by distance, ties in grid order
 
     result = list_decode_brute(params, center, radius)
-    tables = [f.eval_table() for f in result.polys()]
+    tables = [tuple(f.eval_table().tolist()) for f in result.polys()]
     dists = [dist for _, dist in result.entries]
     assert tables == [t for _, _, t in expected]
     assert dists == [dist for dist, _, _ in expected]

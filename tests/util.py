@@ -26,3 +26,14 @@ def random_poly(rng: np.random.Generator, ctx: FieldCtx, n: int, max_degree: int
 
 def random_point(rng: np.random.Generator, p: int, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.integers(0, p, size=n))
+
+
+def naive_value(f: MultiPoly, x) -> int:
+    """f(x) term by term with Python ints: the per-point reference for batched evaluation."""
+    total = 0
+    for e, c in f.terms.items():
+        term = c
+        for v, ei in zip(x, e):
+            term = term * pow(int(v) % f.p, ei, f.p) % f.p
+        total += term
+    return total % f.p
