@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError
-from .ffpoly import MultiPoly, cube_corners
+from .ffpoly import MultiPoly, cube_corners, sample_points
 
 RNG_ALGORITHM = "pcg64"
 
@@ -69,7 +69,7 @@ def sampled_bias(f: MultiPoly, samples: int, seed: int) -> CharacterSum:
     """Unbiased Monte Carlo estimate of exact_bias, deterministic given seed."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    pts = np.random.default_rng(seed).integers(0, f.p, size=(samples, f.n))
+    pts = sample_points(np.random.default_rng(seed), f.p, f.n, samples)
     values, inverse = np.unique(f.eval_points(pts), return_inverse=True)
     phases = np.array([_phase(int(v), f.p) for v in values])  # values that occur
     mean = phases[inverse].mean() if f.n else phases[0] + 0j

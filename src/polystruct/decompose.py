@@ -29,7 +29,10 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .ffpoly import LookupTable, MultiPoly, derivative, functional_reduce, monomials_upto
+from .ffpoly import (
+    LookupTable, MultiPoly, _value_rows, derivative, functional_reduce, monomials_upto,
+    sample_points,
+)
 
 INFINITE_RANK = float("inf")
 
@@ -67,14 +70,13 @@ def _check_bias(f: MultiPoly, s: int, caps: Caps, trust_bias: bool) -> Character
 def _fit_table(f, polys, caps, samples, rng):
     """Plurality table over observed derivative tuples, plus the miss rate."""
     p, n = f.p, f.n
-    factor = factor_mod.PolynomialFactor(polys)
     if p ** n <= caps.enum_cap:
-        table, _, agreement = factor_mod.measurable_table(f, factor, caps)
-        return table, 1.0 - agreement
-    pts = rng.integers(0, p, size=(samples, n))
-    votes = zip(factor.atoms_at(pts), f.eval_points(pts).tolist())
-    table, hits, _ = factor_mod._plurality_vote(votes, p, len(polys))
-    return table, 1.0 - hits / samples
+        pts, values = None, f.eval_table()
+    else:
+        pts = sample_points(rng, p, n, samples)
+        values = f.eval_points(pts)
+    table, hits, _ = factor_mod._plurality_vote(_value_rows(polys, len(values), pts), values, p)
+    return table, 1.0 - hits / len(values)
 
 
 def approx_decompose(
@@ -103,7 +105,7 @@ def approx_decompose(
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
         rng = np.random.default_rng([seed, attempt])
-        z = tuple(tuple(int(v) for v in row) for row in rng.integers(0, p, size=(k, n)))
+        z = tuple(tuple(int(v) for v in row) for row in sample_points(rng, p, n, k))
         dirs = [
             tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
             for b in nonzero
@@ -145,18 +147,17 @@ def decomposition_error(
     if not dec.polys and not dec.gamma.is_total():
         raise PreconditionError("empty decomposition with a partial table")
     p, n = f.p, f.n
-    factor = factor_mod.PolynomialFactor(dec.polys)
     if mode == "exact":
-        size = p ** n
-        caps.require("enum_cap", size)
-        atoms = factor.atom_table() if dec.polys else [()] * size
-        values = f.eval_table().tolist()
+        caps.require("enum_cap", p ** n)
+        pts, values = None, f.eval_table()
     elif mode == "sampled":
-        pts = np.random.default_rng(seed).integers(0, p, size=(samples, n))
-        atoms, values = factor.atoms_at(pts), f.eval_points(pts).tolist()
+        pts = sample_points(np.random.default_rng(seed), p, n, samples)
+        values = f.eval_points(pts)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    return sum(1 for atom, v in zip(atoms, values) if dec.gamma(atom) != v) / len(values)
+    keys, ids = factor_mod.atom_ids(_value_rows(dec.polys, len(values), pts))
+    predicted = np.array([dec.gamma(key) for key in keys.tolist()], dtype=values.dtype)
+    return int(np.count_nonzero(predicted[ids] != values)) / len(values)
 
 
 def _bias_exponent(magnitude: float, p: int) -> int:

@@ -24,7 +24,9 @@ from .errors import (
     PartialResultError,
     PreconditionError,
 )
-from .ffpoly import LookupTable, MultiPoly, cube_corners, grlex_key, monomials_upto
+from .ffpoly import (
+    LookupTable, MultiPoly, _value_rows, cube_corners, grlex_key, monomials_upto, sample_points,
+)
 
 _SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
 
@@ -68,19 +70,27 @@ class PolynomialFactor:
     def degree(self) -> int:
         return max((g.degree() for g in self.polys), default=0)
 
-    def atom_count(self) -> int:
-        """||B||: the number of atoms including empty ones."""
-        return self.p ** self.c if self.polys else 1
 
-    def atom_table(self) -> list[tuple[int, ...]]:
-        """Atom of every point in lexicographic order, as tuples of ints."""
-        return list(zip(*(g.eval_table().tolist() for g in self.polys)))
+def atom_ids(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of a (c, m) array of stacked value rows, one column per point.
 
-    def atoms_at(self, points) -> list[tuple[int, ...]]:
-        """Atom of each row of an (m, n) point array, as tuples of ints."""
-        if not self.polys:
-            return [()] * len(points)
-        return list(zip(*(g.eval_points(points).tolist() for g in self.polys)))
+    Returns keys, the distinct columns as the rows of a (k, c) array in
+    first-occurrence order, and ids, each point's row index into keys; c = 0
+    gives one empty atom.  One stable lexsort puts equal columns in runs, so
+    any width and dtype work and no atom is encoded as a single integer.
+    """
+    c, m = tables.shape
+    # sort a copy in the narrowest dtype that holds the values: numpy radix-sorts 8- and 16-bit keys
+    narrow = tables.astype(np.min_scalar_type(tables.max())) if tables.size else tables
+    order = np.lexsort(narrow) if c else np.arange(m)
+    ordered = narrow[:, order]
+    starts = np.ones(m, dtype=bool)  # the first point of each run of equal atoms
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    firsts = order[starts]  # stable: the first occurrence of each run's atom
+    rank = np.argsort(np.argsort(firsts))  # runs renumbered by first occurrence
+    ids = np.empty(m, dtype=np.intp)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return tables[:, np.sort(firsts)].T, ids
 
 
 def combine(factor: PolynomialFactor, coeffs) -> MultiPoly:
@@ -106,12 +116,14 @@ def atom_histogram(
     p, n = factor.p, factor.n
     if samples is None:
         caps.require("enum_cap", p ** n)
-        atoms = factor.atom_table()
+        tables = _value_rows(factor.polys, p ** n)
     elif samples < 1:
         raise InputError("samples must be >= 1")
     else:
-        atoms = factor.atoms_at(np.random.default_rng(seed).integers(0, p, size=(samples, n)))
-    return dict(Counter(atoms))
+        pts = sample_points(np.random.default_rng(seed), p, n, samples)
+        tables = _value_rows(factor.polys, samples, pts)
+    keys, ids = atom_ids(tables)
+    return dict(zip(map(tuple, keys.tolist()), np.bincount(ids).tolist()))
 
 
 def find_biased_combination(
@@ -134,7 +146,7 @@ def find_biased_combination(
     threshold = p ** (-s) - BIAS_TOL
     vectors = [a for a in monomials_upto(c, c * (p - 1), p) if any(a)]
     dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
-    tables = np.stack([g.eval_table() for g in factor.polys]).astype(dtype, copy=False)
+    tables = _value_rows(factor.polys, size).astype(dtype, copy=False)
     phases = np.exp(2j * np.pi * np.arange(p) / p)
     rows = max(1, _SCAN_CHUNK // max(size, p))
     for start in range(0, len(vectors), rows):
@@ -270,53 +282,43 @@ def measurable_table(
     exact is True iff f is constant on every nonempty atom; agreement is
     Pr_x[f(x) = table(atoms(x))].
     """
-    p, n = f.p, f.n
-    size = p ** n
+    size = f.p ** f.n
     caps.require("enum_cap", size)
-    atoms = factor.atom_table() if factor.polys else [()] * size
-    table, hits, exact = _plurality_vote(zip(atoms, f.eval_table().tolist()), p, factor.c)
+    table, hits, exact = _plurality_vote(_value_rows(factor.polys, size), f.eval_table(), f.p)
     return table, exact, hits / size
 
 
-def _plurality_vote(votes, p: int, arity: int) -> tuple[LookupTable, int, bool]:
-    """Most frequent value per key over (key, value) votes, ties to the smallest lift.
-
-    Returns the table (default 0), the number of votes it reproduces, and
-    whether every key received a single value.
-    """
-    counters: dict[tuple[int, ...], Counter] = {}
-    for key, value in votes:
-        counters.setdefault(key, Counter())[value] += 1
-    entries = {}
-    hits = 0
-    exact = True
-    for key, counter in counters.items():
-        value, count = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))
-        entries[key] = value
-        hits += count
-        if len(counter) > 1:
-            exact = False
-    return LookupTable(p, arity, entries, default=0), hits, exact
+def _plurality_vote(tables, values, p: int) -> tuple[LookupTable, int, bool]:
+    """Most frequent value per atom of the (c, m) rows `tables`, point j voting
+    values[j], ties to the smallest lift: the table (atoms in first-occurrence order,
+    default 0), the votes it reproduces, and whether each atom got a single value."""
+    keys, ids = atom_ids(tables)
+    order = np.lexsort((values, ids))  # by atom, then by value
+    atoms, ordered = ids[order], values[order]
+    starts = np.ones(len(order), dtype=bool)  # the first vote of each (atom, value) run
+    starts[1:] = (atoms[1:] != atoms[:-1]) | (ordered[1:] != ordered[:-1])
+    runs = np.flatnonzero(starts)
+    counts = np.diff(runs, append=len(order))
+    # most votes first within each atom; the stable sort keeps smaller values first on ties
+    best = np.lexsort((-counts, atoms[runs]))
+    winners = best[np.searchsorted(atoms[runs], np.arange(len(keys)))]
+    entries = dict(zip(map(tuple, keys.tolist()), ordered[runs[winners]].tolist()))
+    table = LookupTable(p, tables.shape[0], entries, default=0)
+    return table, int(counts[winners].sum()), len(runs) == len(keys)
 
 
 def semantic_refines(
     fine: PolynomialFactor, coarse: PolynomialFactor, caps: Caps = DEFAULT_CAPS
 ) -> bool:
-    """Whether the fine factor's atom map determines the coarse factor's."""
-    if fine.polys:
-        p, n = fine.p, fine.n
-    elif coarse.polys:
-        p, n = coarse.p, coarse.n
-    else:
+    """Whether the fine factor's atom map determines the coarse factor's:
+    every fine atom meets a single coarse atom."""
+    polys = fine.polys + coarse.polys
+    if not polys:
         return True
-    caps.require("enum_cap", p ** n)
-    fine_atoms = fine.atom_table() if fine.polys else [()] * (p ** n)
-    coarse_atoms = coarse.atom_table() if coarse.polys else [()] * (p ** n)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for fa, ca in zip(fine_atoms, coarse_atoms):
-        if seen.setdefault(fa, ca) != ca:
-            return False
-    return True
+    size = polys[0].p ** polys[0].n
+    caps.require("enum_cap", size)
+    joint = _value_rows(polys, size)
+    return len(atom_ids(joint)[0]) == len(atom_ids(joint[:fine.c])[0])
 
 
 @dataclass(frozen=True)
@@ -365,8 +367,9 @@ def parallelepiped_check(
     predicted = p ** (-(factor.c + exponent))
     counts: Counter = Counter()
     for corners in cube_corners(np.random.default_rng(seed), p, n, k, samples):
-        atoms = factor.atoms_at(corners)
-        counts.update(tuple(atoms[i:i + (1 << k)]) for i in range(0, len(atoms), 1 << k))
+        keys, ids = atom_ids(_value_rows(factor.polys, len(corners), corners))
+        atoms = list(map(tuple, keys.tolist()))
+        counts.update(tuple(atoms[i] for i in cube) for cube in ids.reshape(-1, 1 << k).tolist())
     max_dev = max(abs(cnt / samples - predicted) for cnt in counts.values())
     return ParallelepipedReport(
         k=k,

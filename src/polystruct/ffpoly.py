@@ -94,6 +94,24 @@ def monomials_upto(n: int, degree: int, p: int) -> list[Monomial]:
     return [e for level in by_sum for e in level]
 
 
+def sample_points(rng, p: int, n: int, m: int) -> np.ndarray:
+    """m uniform points of F_p^n as the rows of rng.integers(0, p, size=(m, n)); the
+    generator draws no integers at or above 2^63, so only an empty draw works there."""
+    if p >= 2**63:
+        if m * n:
+            raise UnsupportedError(f"cannot sample points over p = {p} >= 2^63")
+        return np.empty((m, n), dtype=object)
+    return rng.integers(0, p, size=(m, n))
+
+
+def _value_rows(polys, m: int, points=None) -> np.ndarray:
+    """Values of each polynomial as the rows of a (c, m) array: at all m = p^n
+    points in lexicographic order, or at the m rows of a point array."""
+    if not polys:
+        return np.zeros((0, m), dtype=np.int64)
+    return np.stack([g.eval_table() if points is None else g.eval_points(points) for g in polys])
+
+
 _CORNER_BATCH = 1 << 14  # corners per batch; samples * 2^k may reach the enumeration cap
 
 
@@ -105,9 +123,9 @@ def cube_corners(rng, p: int, n: int, k: int, samples: int) -> Iterator[np.ndarr
     """
     per = max(1, _CORNER_BATCH >> k)
     for start in range(0, samples, per):
-        draws = [(rng.integers(0, p, size=n), rng.integers(0, p, size=(k, n)))
+        draws = [(sample_points(rng, p, n, 1), sample_points(rng, p, n, k))
                  for _ in range(min(per, samples - start))]
-        corners = np.stack([x for x, _ in draws])[:, None, :]
+        corners = np.stack([x for x, _ in draws])
         ys = np.stack([y for _, y in draws])
         for j in range(k):
             corners = np.concatenate([corners, (corners + ys[:, j, None, :]) % p], axis=1)
@@ -181,9 +199,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
@@ -341,14 +356,6 @@ class MultiPoly:
                 out[pe] = out.get(pe, 0) + pc
         return MultiPoly(self.ctx, self.n, out)
 
-    def scale_vars(self, j: int) -> "MultiPoly":
-        """The polynomial x -> f(j * x)."""
-        p = self.p
-        return MultiPoly(
-            self.ctx, self.n,
-            {e: c * pow(j % p, sum(e), p) for e, c in self.terms.items()},
-        )
-
 
 # -- specified operations ---------------------------------------------------
 
@@ -382,14 +389,6 @@ def functional_reduce(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.ctx, f.n, out)
 
 
-def drop_variable(f: MultiPoly, var_index: int) -> MultiPoly:
-    """Remove an absent variable (1-based) and renumber the rest."""
-    j = var_index - 1
-    if any(e[j] for e in f.terms):
-        raise InputError(f"x{var_index} still occurs")
-    return MultiPoly(f.ctx, f.n - 1, {e[:j] + e[j + 1:]: c for e, c in f.terms.items()})
-
-
 def restrict_hyperplane(f: MultiPoly, var_index: int, value: int) -> MultiPoly:
     """Substitute x_{var_index} = value and renumber the remaining variables."""
     if not 1 <= var_index <= f.n:
@@ -399,48 +398,9 @@ def restrict_hyperplane(f: MultiPoly, var_index: int, value: int) -> MultiPoly:
     j = var_index - 1
     out: dict[Monomial, int] = {}
     for e, c in f.terms.items():
-        coeff = (c * pow(value, e[j], p)) % p
-        key = e[:j] + (0,) + e[j + 1:]
-        out[key] = out.get(key, 0) + coeff
-    return drop_variable(MultiPoly(f.ctx, f.n, out), var_index)
-
-
-def substitute(f: MultiPoly, var_index: int, g: MultiPoly) -> MultiPoly:
-    """Replace x_{var_index} by the polynomial g (same ambient variables)."""
-    if not 1 <= var_index <= f.n:
-        raise InputError(f"variable index {var_index} out of range 1..{f.n}")
-    if g.n != f.n or g.p != f.p:
-        raise InputError("replacement must share field and variable count")
-    j = var_index - 1
-    result = MultiPoly.zero(f.ctx, f.n)
-    for e, c in f.terms.items():
-        base = MultiPoly(f.ctx, f.n, {e[:j] + (0,) + e[j + 1:]: c})
-        result = result + base * (g ** e[j])
-    return result
-
-
-def restrict_affine(f: MultiPoly, coeffs, const: int) -> MultiPoly:
-    """Restrict f to the hyperplane sum_i coeffs_i x_i = const.
-
-    The first variable with a nonzero coefficient is solved for and
-    substituted, reducing to an axis-aligned restriction.
-    """
-    p = f.p
-    coeffs = [int(v) % p for v in coeffs]
-    if len(coeffs) != f.n:
-        raise InputError("coefficient vector length mismatch")
-    j = next((i for i, v in enumerate(coeffs) if v), None)
-    if j is None:
-        raise InputError("hyperplane normal is zero")
-    inv = f.ctx.inv(coeffs[j])
-    repl_terms: dict[Monomial, int] = {(0,) * f.n: const * inv}
-    for i, v in enumerate(coeffs):
-        if i != j and v:
-            e = [0] * f.n
-            e[i] = 1
-            repl_terms[tuple(e)] = -v * inv
-    replacement = MultiPoly(f.ctx, f.n, repl_terms)
-    return drop_variable(substitute(f, j + 1, replacement), j + 1)
+        key = e[:j] + e[j + 1:]
+        out[key] = out.get(key, 0) + c * pow(value, e[j], p)
+    return MultiPoly(f.ctx, f.n - 1, out)
 
 
 def extend_variables(f: MultiPoly, new_n: int) -> MultiPoly:
@@ -470,10 +430,6 @@ class LookupTable:
             self.entries[key] = int(v) % p
         self.default = None if default is None else int(default) % p
 
-    @classmethod
-    def constant(cls, p: int, arity: int, value: int) -> "LookupTable":
-        return cls(p, arity, {}, default=value)
-
     def is_total(self) -> bool:
         return self.default is not None or len(self.entries) == self.p ** self.arity
 
@@ -499,13 +455,6 @@ class LookupTable:
         if not self.is_total():
             raise InputError("table does not cover all inputs")
         return [self(k) for k in monomials_upto(self.arity, self.arity * (self.p - 1), self.p)]
-
-    @classmethod
-    def from_flat(cls, p: int, arity: int, values) -> "LookupTable":
-        keys = monomials_upto(arity, arity * (p - 1), p)
-        if len(values) != len(keys):
-            raise InputError(f"expected {len(keys)} values, got {len(values)}")
-        return cls(p, arity, dict(zip(keys, values)))
 
 
 def compose_gamma(table: LookupTable, polys: list[MultiPoly]):

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, InternalConsistencyError
-from .ffpoly import MultiPoly, extend_variables, functional_reduce, monomials_upto
+from .ffpoly import MultiPoly, _value_rows, extend_variables, functional_reduce, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def vanishes_on_variety(spec: IdealSpec, caps: Caps = DEFAULT_CAPS) -> bool:
     """Brute-force oracle: Q(x) = 0 at every common zero of the generators."""
     p, n = spec.query.p, spec.query.n
     caps.require("enum_cap", p ** n)
-    zeros = (np.array([g.eval_table() for g in spec.generators]) == 0).all(axis=0)
+    zeros = (_value_rows(spec.generators, p ** n) == 0).all(axis=0)
     return not (spec.query.eval_table() != 0)[zeros].any()
 
 

@@ -110,6 +110,19 @@ def oracle_bias(table: TruthTable) -> complex:
     return total / len(table.values)
 
 
+def oracle_plurality(keys, values) -> tuple[dict, int, bool]:
+    """Most frequent value per key over the votes (keys[j], values[j]), ties to
+    the smallest value: the winners in the order keys first occur, the number
+    of votes they reproduce, and whether every key received a single value."""
+    tallies: dict = {}
+    for key, value in zip(keys, values):
+        tally = tallies.setdefault(tuple(int(v) for v in key), {})
+        tally[int(value)] = tally.get(int(value), 0) + 1
+    entries = {key: min(t, key=lambda v: (-t[v], v)) for key, t in tallies.items()}
+    hits = sum(tallies[key][v] for key, v in entries.items())
+    return entries, hits, all(len(t) == 1 for t in tallies.values())
+
+
 def oracle_count_zeros(tables: list[TruthTable]) -> int:
     if not tables:
         raise InputError("need at least one table")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, PreconditionError, UnsupportedError
-from .factor import PolynomialFactor
-from .ffpoly import FieldCtx, MultiPoly, monomials_upto, points_lex
+from .factor import PolynomialFactor, atom_ids
+from .ffpoly import FieldCtx, MultiPoly, _value_rows, monomials_upto, points_lex
 
 FLOAT_TOL = 1e-9
 
@@ -300,12 +300,10 @@ def conditional_expectation(
     caps.require("enum_cap", size)
     if factor.polys and (factor.p != p or factor.n != n):
         raise InputError("factor domain mismatch")
-    atoms = factor.atom_table() if factor.polys else [()] * size
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, atom in enumerate(atoms):
-        groups.setdefault(atom, []).append(i)
+    _, ids = atom_ids(_value_rows(factor.polys, size))
+    order = np.argsort(ids, kind="stable")  # each atom's points, ascending
     out = np.empty_like(phi.values)
-    for rows in groups.values():
+    for rows in np.split(order, np.cumsum(np.bincount(ids))[:-1]):
         out[rows] = phi.values[rows].mean(axis=0)
     return SimplexFunction(p, n, out, phi.space)
 

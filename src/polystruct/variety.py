@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import InputError, InternalConsistencyError
-from .factor import PolynomialFactor, measurable_table, regularize
-from .ffpoly import FieldCtx
+from .factor import PolynomialFactor, atom_ids, regularize, semantic_refines
+from .ffpoly import FieldCtx, _value_rows
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def count_points_exact(
     ctx, n = _ambient(generators, ctx, n)
     size = ctx.p ** n
     caps.require("enum_cap", size)
-    tables = np.array([g.eval_table() for g in generators]).reshape(len(generators), size)
-    count = int(np.count_nonzero((tables == 0).all(axis=0)))
+    count = int(np.count_nonzero((_value_rows(generators, size) == 0).all(axis=0)))
     return VarietyReport(
         exact_count=count,
         approx_count=None,
@@ -81,20 +80,14 @@ def count_points_regularized(
     regular = regularize(PolynomialFactor(generators), s, config)
     cprime = regular.c
     caps.require("reduced_scan_cap", p ** cprime)
-    reduced_tables = []
-    for gen in generators:
-        table, exact, _ = measurable_table(gen, regular, caps)
-        if not exact:
-            raise InternalConsistencyError(
-                "generator not measurable over its own regularization; "
-                "semantic refinement was violated"
-            )
-        reduced_tables.append(table)
-    # scan nonempty atoms only: table entries were fitted from observed atoms
-    observed = set(reduced_tables[0].entries) if reduced_tables else set()
-    reduced_zeros = sum(
-        1 for atom in observed if all(t(atom) == 0 for t in reduced_tables)
-    )
+    if not semantic_refines(regular, PolynomialFactor(generators), caps):
+        raise InternalConsistencyError(
+            "generators not measurable over their own regularization; "
+            "semantic refinement was violated"
+        )
+    # the generators are constant on each atom: count the nonempty atoms of common zeros
+    _, ids = atom_ids(_value_rows(regular.polys, p ** n))
+    reduced_zeros = len(np.unique(ids[(_value_rows(generators, p ** n) == 0).all(axis=0)]))
     approx = p ** (n - cprime) * reduced_zeros
     return VarietyReport(
         exact_count=None,

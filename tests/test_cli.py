@@ -191,3 +191,31 @@ def test_wide_code_minimum_distance_answers_at_once():
     assert code == EXIT_OK
     assert time.perf_counter() - start < 1.5
     assert json.loads(text)["min_distance"] == "1/2"
+
+
+P64_ABOVE = "18446744073709551629"  # a prime above 2^64: no sampler draws from it
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias", "--p", P64_ABOVE, "--poly", "x1", "--mode", "sampled", "--samples", "10"],
+    ["atoms", "--p", P64_ABOVE, "--gens", "x1", "--samples", "10"],
+])
+def test_sampling_a_field_above_int64_is_unsupported(argv, capsys):
+    assert run(argv) == (EXIT_DOMAIN, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2^63" in err
+
+
+@pytest.mark.parametrize("argv,key,want", [
+    (["bias", "--p", P64_ABOVE, "--poly", "5", "--mode", "sampled", "--samples", "10"],
+     "magnitude", 1.0),
+    (["atoms", "--p", P64_ABOVE, "--gens", "5", "--samples", "10"], "atoms", [[[5], 10]]),
+    (["cubes", "--p", P64_ABOVE, "--gens", "5", "--k", "2", "--samples", "3"], "support_size", 1),
+    (["gowers", "--p", P64_ABOVE, "--poly", "5", "--d", "2", "--mode", "sampled",
+      "--samples", "3"], "norm", 1.0),
+])
+def test_empty_draws_over_a_field_above_int64_answer(argv, key, want):
+    # n = 0: every draw is empty, so the estimators answer from the one point
+    code, text = run(argv)
+    assert code == EXIT_OK
+    assert json.loads(text)[key] == want

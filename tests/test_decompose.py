@@ -92,7 +92,7 @@ def test_decomposition_error_examples():
     f = parse_poly("x1", 3, n=1)
     dec = Decomposition(
         polys=[],
-        gamma=LookupTable.constant(3, 0, 0),
+        gamma=LookupTable(3, 0, {}, default=0),
         directions=None,
         claimed_error=0.0,
         exact=False,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polystruct import decompose as decompose_mod
+from polystruct import oracle
 from polystruct.bias import BIAS_TOL, exact_bias
 from polystruct.config import Caps
-from polystruct.decompose import quadratic_rank, INFINITE_RANK
+from polystruct.decompose import Decomposition, decomposition_error, quadratic_rank, INFINITE_RANK
 from polystruct.errors import CapExceeded, PreconditionError
 from polystruct.factor import (
     PolynomialFactor,
@@ -18,8 +20,10 @@ from polystruct.factor import (
     regularize,
     semantic_refines,
 )
-from polystruct.ffpoly import FieldCtx, MultiPoly, compose_poly, monomials_upto, parse_poly
-from util import random_poly
+from polystruct.ffpoly import (
+    FieldCtx, LookupTable, MultiPoly, compose_poly, extend_variables, monomials_upto, parse_poly,
+)
+from util import naive_value, random_poly
 
 
 def test_atom_histogram_examples():
@@ -35,7 +39,6 @@ def test_atom_histogram_examples():
     irregular = PolynomialFactor([parse_poly("x1", 3, n=1), parse_poly("x1+1", 3, n=1)])
     hist3 = atom_histogram(irregular)
     assert len(hist3) == 3  # only the diagonal atoms (a, a+1) are populated
-    assert irregular.atom_count() == 9
 
     sampled = atom_histogram(single, samples=300, seed=1)
     assert sum(sampled.values()) == 300
@@ -291,3 +294,119 @@ def test_find_biased_combination_across_scan_chunks():
     miss = PolynomialFactor([parse_poly("x1", 3, n=9), parse_poly("x2", 3, n=9), wide])
     assert find_biased_combination(miss, 1) is None
     assert _naive_biased_combination(miss, 1) is None
+
+
+# -- atoms and the plurality vote against per-point references ---------------
+
+
+@st.composite
+def vote_cases(draw):
+    """(f, factor) over F_p^n.  When blind, the factor ignores x_n while f adds
+    x_n or x_n^2, so each atom's votes split across values and ties are forced."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 3))
+    blind = n > 0 and draw(st.booleans())
+
+    def poly(used):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            e = tuple(draw(st.integers(0, 3)) if i < used else 0 for i in range(n))
+            terms[e] = draw(st.integers(1, p - 1))
+        return MultiPoly(FieldCtx(p), n, terms)
+
+    factor = PolynomialFactor([poly(n - blind) for _ in range(draw(st.integers(0, 4)))])
+    f = poly(n)
+    if blind:
+        f = poly(n - 1) + MultiPoly.variable(f.ctx, n, n) ** draw(st.sampled_from((1, 2)))
+    return f, factor
+
+
+def _oracle_atoms(factor, size):
+    columns = [oracle.table_of(g).values for g in factor.polys]
+    return list(zip(*columns)) if columns else [()] * size
+
+
+def _assert_matches_oracle_plurality(f, factor):
+    size = f.p ** f.n
+    table, exact, agreement = measurable_table(f, factor)
+    entries, hits, want_exact = oracle.oracle_plurality(
+        _oracle_atoms(factor, size), oracle.table_of(f).values
+    )
+    assert list(table.entries.items()) == list(entries.items())  # first-occurrence order
+    assert (table.arity, table.default) == (factor.c, 0)
+    assert (exact, agreement) == (want_exact, hits / size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_cases())
+@example((parse_poly("x2", 3, n=2), PolynomialFactor([parse_poly("x1", 3, n=2)])))
+@example((parse_poly("x1", 5, n=1), PolynomialFactor([])))
+def test_measurable_table_matches_oracle_plurality(case):
+    _assert_matches_oracle_plurality(*case)
+
+
+def test_measurable_table_over_a_forty_five_wide_factor_matches_oracle_plurality():
+    # 3^45 atoms exceed any 63-bit code; the factor ignores x3, so votes tie
+    rng = np.random.default_rng(45)
+    ctx = FieldCtx(3)
+    factor = PolynomialFactor([extend_variables(random_poly(rng, ctx, 2, 2), 3) for _ in range(45)])
+    _assert_matches_oracle_plurality(parse_poly("x1*x3 + x2", 3), factor)
+
+
+P61, P65 = 2**61 - 1, 2**64 + 13  # object-dtype values: (p-1)^2 and p pass int64
+
+
+def test_measurable_table_at_n0_over_a_65_bit_field_matches_oracle_plurality():
+    factor = PolynomialFactor([parse_poly("5", P65, n=0), parse_poly(str(P65 - 2), P65, n=0)])
+    _assert_matches_oracle_plurality(parse_poly(str(P65 - 1), P65, n=0), factor)
+
+
+def test_sampled_vote_over_a_61_bit_field_matches_oracle_plurality():
+    # the Legendre symbol of x1 splits the samples into two atoms in which
+    # every value of x1 + x2 differs: each atom's vote ties at one vote each
+    f = parse_poly("x1 + x2", P61)
+    polys = [parse_poly(f"x1^{(P61 - 1) // 2}", P61, n=2), parse_poly("3", P61, n=2)]
+    table, err = decompose_mod._fit_table(f, polys, Caps(enum_cap=1), 200, np.random.default_rng(9))
+    pts = np.random.default_rng(9).integers(0, P61, size=(200, 2))
+    keys = [tuple(naive_value(g, x) for g in polys) for x in pts]
+    entries, hits, exact = oracle.oracle_plurality(keys, [naive_value(f, x) for x in pts])
+    assert list(table.entries.items()) == list(entries.items())
+    assert (err, exact, len(entries)) == (1.0 - hits / 200, False, 2)
+
+
+@st.composite
+def refinement_cases(draw):
+    """(fine, coarse): coarse is built from fine's polynomials, or drawn freely."""
+    f, fine = draw(vote_cases())
+    if fine.polys and draw(st.booleans()):
+        picks = st.sampled_from(fine.polys)
+        coarse = [draw(picks) * draw(picks) + draw(picks) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        coarse = [f] * draw(st.integers(0, 2))
+    return fine, PolynomialFactor(coarse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(refinement_cases())
+def test_semantic_refines_matches_a_per_point_loop(case):
+    fine, coarse = case
+    polys = fine.polys + coarse.polys
+    size = polys[0].p ** polys[0].n if polys else 1
+    seen, refines = {}, True
+    for fa, ca in zip(_oracle_atoms(fine, size), _oracle_atoms(coarse, size)):
+        refines = refines and seen.setdefault(fa, ca) == ca
+    assert semantic_refines(fine, coarse) == refines
+
+
+@settings(max_examples=150, deadline=None)
+@given(vote_cases())
+def test_exact_decomposition_error_matches_a_per_point_loop(case):
+    f, factor = case
+    # every other atom of the plurality table of f + f^2, the rest to the default
+    fitted = measurable_table(f + f * f, factor)[0]
+    gamma = LookupTable(f.p, factor.c, dict(list(fitted.entries.items())[::2]), default=1)
+    dec = Decomposition(list(factor.polys), gamma, None, 0.0, False)
+    values = oracle.table_of(f).values
+    atoms = _oracle_atoms(factor, len(values))
+    misses = sum(1 for atom, v in zip(atoms, values) if gamma(atom) != v)
+    assert decomposition_error(f, dec) == misses / len(values)

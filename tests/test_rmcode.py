@@ -27,6 +27,7 @@ from polystruct.rmcode import (
     simplex_fourier,
     weak_regularity,
 )
+from util import naive_value, random_poly
 
 
 def test_rm_params_validation():
@@ -225,6 +226,25 @@ def test_conditional_expectation_examples():
     full = PolynomialFactor([parse_poly("x1", 3, n=2), parse_poly("x2", 3, n=2)])
     out3 = conditional_expectation(phi2, full)
     assert np.abs(out3.values - phi2.values).max() < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 0)])
+def test_conditional_expectation_matches_a_per_point_loop(p, n):
+    # each atom's mean over its points in ascending order: equal to the last bit
+    rng = np.random.default_rng(p * 10 + n)
+    ctx = FieldCtx(p)
+    for c in (0, 1, 2, 3):
+        polys = [random_poly(rng, ctx, n, 2) for _ in range(c)]
+        raw = rng.random((p ** n, p))
+        phi = SimplexFunction(p, n, raw / raw.sum(axis=1, keepdims=True), "delta")
+        groups = {}
+        for i, x in enumerate(points_lex(p, n)):
+            groups.setdefault(tuple(naive_value(g, x) for g in polys), []).append(i)
+        want = np.empty_like(phi.values)
+        for rows in groups.values():
+            want[rows] = phi.values[rows].mean(axis=0)
+        got = conditional_expectation(phi, PolynomialFactor(polys))
+        assert np.array_equal(got.values, want) and got.space == "delta"
 
 
 def test_conditional_expectation_is_projection():

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from polystruct import decompose as decompose_mod
-from polystruct import factor as factor_mod
+from polystruct import oracle
 from polystruct.bias import gowers_norm, sampled_bias
 from polystruct.config import Caps
 from polystruct.decompose import Decomposition, decomposition_error
 from polystruct.factor import PolynomialFactor, atom_histogram, parallelepiped_check
-from polystruct.ffpoly import FieldCtx, MultiPoly, parse_poly
+from polystruct.ffpoly import FieldCtx, LookupTable, MultiPoly, parse_poly
 from util import naive_value, random_poly
 
 ABOVE = Caps(enum_cap=1)  # p^n > 1 unless n = 0
@@ -130,9 +130,9 @@ def test_parallelepiped_check_matches_a_per_point_loop(p, n, k, samples):
 
 
 def _votes_table(f, polys, pts):
-    votes = ((tuple(naive_value(g, x) for g in polys), naive_value(f, x)) for x in pts)
-    table, hits, _ = factor_mod._plurality_vote(votes, f.p, len(polys))
-    return table, 1.0 - hits / len(pts)
+    keys = [tuple(naive_value(g, x) for g in polys) for x in pts]
+    entries, hits, _ = oracle.oracle_plurality(keys, [naive_value(f, x) for x in pts])
+    return LookupTable(f.p, len(polys), entries, default=0), 1.0 - hits / len(pts)
 
 
 @pytest.mark.parametrize("p,n", [case for case in CASES if case[1]])
@@ -147,6 +147,7 @@ def test_sampled_fit_table_matches_a_per_point_loop(p, n):
         assert (table.entries, table.default, err) == (
             want_table.entries, want_table.default, want_err
         )
+        assert list(table.entries) == list(want_table.entries)
 
 
 @pytest.mark.parametrize("p,n", CASES)

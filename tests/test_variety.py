@@ -5,13 +5,15 @@ import pytest
 
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded
-from polystruct.ffpoly import FieldCtx, parse_poly
+from polystruct.config import RegularizeConfig
+from polystruct.factor import PolynomialFactor, regularize
+from polystruct.ffpoly import FieldCtx, parse_poly, points_lex
 from polystruct.variety import (
     count_points_exact,
     count_points_regularized,
     solution_profile,
 )
-from util import random_poly
+from util import naive_value, random_poly
 
 
 def test_exact_count_examples():
@@ -111,3 +113,24 @@ def test_chevalley_warning_strengthening():
         prof = solution_profile(gens, s=2)
         if prof.exact_count > 0:
             assert prof.cw_holds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_regularized_count_matches_a_per_point_loop(p):
+    # p^(n-c') times the number of distinct regular atoms met by common zeros
+    rng = np.random.default_rng(p)
+    ctx = FieldCtx(p)
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        gens = [random_poly(rng, ctx, n, 2) for _ in range(int(rng.integers(1, 4)))]
+        config = RegularizeConfig()
+        regular = regularize(PolynomialFactor(gens), 2, config)
+        zero_atoms = {
+            tuple(naive_value(g, x) for g in regular.polys)
+            for x in points_lex(p, n)
+            if all(naive_value(g, x) == 0 for g in gens)
+        }
+        report = count_points_regularized(gens, 2, config)
+        assert report.reduced_dimension == regular.c
+        assert report.approx_count == p ** (n - regular.c) * len(zero_atoms)
+        assert report.empty == (not zero_atoms)
