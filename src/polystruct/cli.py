@@ -131,7 +131,7 @@ def _gamma_payload(table, caps: Caps) -> dict | list:
     }
 
 
-def _cmd_bias(args, run: RunConfig, out) -> int:
+def _cmd_bias(args, run: RunConfig) -> dict:
     f = parse_poly(args.poly, args.p, args.n)
     if args.mode == "exact":
         cs = bias_mod.exact_bias(f, run.caps)
@@ -139,24 +139,18 @@ def _cmd_bias(args, run: RunConfig, out) -> int:
     else:
         cs = bias_mod.sampled_bias(f, args.samples, run.seed)
         seed = run.seed
-    _emit(_character_payload(cs, args.mode, seed), run.fmt, out)
-    return EXIT_OK
+    return _character_payload(cs, args.mode, seed)
 
 
-def _cmd_gowers(args, run: RunConfig, out) -> int:
+def _cmd_gowers(args, run: RunConfig) -> dict:
     f = parse_poly(args.poly, args.p, args.n)
     value = bias_mod.gowers_norm(
         f, args.d, mode=args.mode, samples=args.samples, seed=run.seed, caps=run.caps
     )
-    _emit(
-        {"norm": value, "d": args.d, "mode": args.mode, "seed": run.seed},
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    return {"norm": value, "d": args.d, "mode": args.mode, "seed": run.seed}
 
 
-def _cmd_decompose(args, run: RunConfig, out) -> int:
+def _cmd_decompose(args, run: RunConfig) -> dict:
     f = parse_poly(args.poly, args.p, args.n)
     if args.mode == "approx":
         dec = decompose_mod.approx_decompose(
@@ -165,7 +159,7 @@ def _cmd_decompose(args, run: RunConfig, out) -> int:
     else:
         config = DecomposeConfig(t=args.t, retries=args.retries, seed=run.seed, caps=run.caps)
         dec = decompose_mod.exact_decompose(f, args.s, config)
-    payload = {
+    return {
         "polys": [poly_to_str(g) for g in dec.polys],
         "directions": [list(h) for h in dec.directions] if dec.directions else None,
         "gamma": _gamma_payload(dec.gamma, run.caps),
@@ -174,39 +168,33 @@ def _cmd_decompose(args, run: RunConfig, out) -> int:
         "seed": run.seed,
         "k": dec.k,
     }
-    _emit(payload, run.fmt, out)
-    return EXIT_OK
 
 
-def _cmd_rank2(args, run: RunConfig, out) -> int:
+def _cmd_rank2(args, run: RunConfig) -> dict:
     f = parse_poly(args.poly, args.p, args.n)
     value = decompose_mod.quadratic_rank(f)
-    _emit({"rank": "inf" if value == decompose_mod.INFINITE_RANK else value}, run.fmt, out)
-    return EXIT_OK
+    return {"rank": "inf" if value == decompose_mod.INFINITE_RANK else value}
 
 
-def _cmd_regularize(args, run: RunConfig, out) -> int:
+def _regularize_config(run: RunConfig) -> RegularizeConfig:
+    return RegularizeConfig(decompose=DecomposeConfig(seed=run.seed, caps=run.caps))
+
+
+def _cmd_regularize(args, run: RunConfig) -> dict:
     polys = _parse_family(args.gens, args.p, args.n)
-    config = RegularizeConfig(
-        decompose=DecomposeConfig(seed=run.seed, caps=run.caps), caps=run.caps
-    )
     regular = factor_mod.regularize(
-        factor_mod.PolynomialFactor(polys, pinned_prefix=args.pinned), args.s, config
+        factor_mod.PolynomialFactor(polys, pinned_prefix=args.pinned), args.s,
+        _regularize_config(run),
     )
-    _emit(
-        {
-            "polys": [poly_to_str(g) for g in regular.polys],
-            "regularity_s": regular.regularity_s,
-            "pinned_prefix": regular.pinned_prefix,
-            "seed": run.seed,
-        },
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    return {
+        "polys": [poly_to_str(g) for g in regular.polys],
+        "regularity_s": regular.regularity_s,
+        "pinned_prefix": regular.pinned_prefix,
+        "seed": run.seed,
+    }
 
 
-def _cmd_atoms(args, run: RunConfig, out) -> int:
+def _cmd_atoms(args, run: RunConfig) -> dict:
     polys = _parse_family(args.gens, args.p, args.n)
     hist = factor_mod.atom_histogram(
         factor_mod.PolynomialFactor(polys),
@@ -215,48 +203,37 @@ def _cmd_atoms(args, run: RunConfig, out) -> int:
         seed=run.seed,
     )
     items = sorted(([list(k), v] for k, v in hist.items()), key=lambda kv: kv[0])
-    _emit({"atoms": items, "seed": run.seed}, run.fmt, out)
-    return EXIT_OK
+    return {"atoms": items, "seed": run.seed}
 
 
-def _cmd_cubes(args, run: RunConfig, out) -> int:
+def _cmd_cubes(args, run: RunConfig) -> dict:
     polys = _parse_family(args.gens, args.p, args.n)
     report = factor_mod.parallelepiped_check(
         factor_mod.PolynomialFactor(polys), args.k, args.samples, seed=run.seed, caps=run.caps
     )
-    _emit(
-        {
-            "k": report.k,
-            "samples": report.samples,
-            "support_size": report.support_size,
-            "predicted_exponent": report.predicted_exponent,
-            "predicted_frequency": report.predicted_frequency,
-            "max_deviation": report.max_deviation,
-            "seed": run.seed,
-        },
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    return {
+        "k": report.k,
+        "samples": report.samples,
+        "support_size": report.support_size,
+        "predicted_exponent": report.predicted_exponent,
+        "predicted_frequency": report.predicted_frequency,
+        "max_deviation": report.max_deviation,
+        "seed": run.seed,
+    }
 
 
-def _cmd_table(args, run: RunConfig, out) -> int:
+def _cmd_table(args, run: RunConfig) -> dict:
     polys = _parse_family(args.gens, args.p, args.n)
     f = parse_poly(args.poly, args.p, polys[0].n)
     f = extend_variables(f, polys[0].n)
     table, exact, agreement = factor_mod.measurable_table(
         f, factor_mod.PolynomialFactor(polys), run.caps
     )
-    _emit(
-        {
-            "gamma": _gamma_payload(table, run.caps),
-            "exact": exact,
-            "agreement": agreement,
-        },
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    return {
+        "gamma": _gamma_payload(table, run.caps),
+        "exact": exact,
+        "agreement": agreement,
+    }
 
 
 def _certificate_payload(cert) -> dict | None:
@@ -270,24 +247,22 @@ def _certificate_payload(cert) -> dict | None:
     }
 
 
-def _cmd_nss(args, run: RunConfig, out) -> int:
+def _cmd_nss(args, run: RunConfig) -> dict:
     gens = _parse_family(args.gens, args.p, args.n)
     q = extend_variables(parse_poly(args.q, args.p, None), gens[0].n)
     cert = nss_mod.find_certificate(
         nss_mod.IdealSpec(gens, q), args.dmax, args.rmax, run.caps
     )
-    _emit({"certificate": _certificate_payload(cert), "found": cert is not None}, run.fmt, out)
-    return EXIT_OK
+    return {"certificate": _certificate_payload(cert), "found": cert is not None}
 
 
-def _cmd_weak_nss(args, run: RunConfig, out) -> int:
+def _cmd_weak_nss(args, run: RunConfig) -> dict:
     gens = _parse_family(args.gens, args.p, args.n)
     cert = nss_mod.weak_certificate(gens, args.dmax, run.caps)
-    _emit({"certificate": _certificate_payload(cert), "found": cert is not None}, run.fmt, out)
-    return EXIT_OK
+    return {"certificate": _certificate_payload(cert), "found": cert is not None}
 
 
-def _cmd_radical(args, run: RunConfig, out) -> int:
+def _cmd_radical(args, run: RunConfig) -> dict:
     gens = _parse_family(args.gens, args.p, args.n)
     q = extend_variables(parse_poly(args.q, args.p, None), gens[0].n)
     report = nss_mod.radical_membership(
@@ -295,20 +270,15 @@ def _cmd_radical(args, run: RunConfig, out) -> int:
     )
     if not report.oracle_agrees:
         raise InternalConsistencyError("certificate contradicts the vanishing oracle")
-    _emit(
-        {
-            "member": report.member,
-            "certificate": _certificate_payload(report.certificate),
-            "oracle_agrees": report.oracle_agrees,
-            "route": report.route,
-        },
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    return {
+        "member": report.member,
+        "certificate": _certificate_payload(report.certificate),
+        "oracle_agrees": report.oracle_agrees,
+        "route": report.route,
+    }
 
 
-def _cmd_count(args, run: RunConfig, out) -> int:
+def _cmd_count(args, run: RunConfig) -> dict:
     ctx = FieldCtx(args.p)
     gens = _parse_family(args.gens, args.p, args.n) if args.gens else []
     n = args.n or (gens[0].n if gens else None)
@@ -317,147 +287,112 @@ def _cmd_count(args, run: RunConfig, out) -> int:
     gens = [extend_variables(g, n) for g in gens]
     if args.mode == "exact":
         report = variety_mod.count_points_exact(gens, ctx, n, run.caps)
-        payload = {"exact_count": report.exact_count, "empty": report.empty, "method": report.method}
-    else:
-        config = RegularizeConfig(
-            decompose=DecomposeConfig(seed=run.seed, caps=run.caps), caps=run.caps
-        )
-        report = variety_mod.count_points_regularized(gens, args.s, config, ctx, n)
-        payload = {
-            "approx_count": report.approx_count,
-            "reduced_dimension": report.reduced_dimension,
-            "empty": report.empty,
-            "method": report.method,
-            "seed": run.seed,
-        }
-    _emit(payload, run.fmt, out)
-    return EXIT_OK
+        return {"exact_count": report.exact_count, "empty": report.empty, "method": report.method}
+    report = variety_mod.count_points_regularized(gens, args.s, _regularize_config(run), ctx, n)
+    return {
+        "approx_count": report.approx_count,
+        "reduced_dimension": report.reduced_dimension,
+        "empty": report.empty,
+        "method": report.method,
+        "seed": run.seed,
+    }
 
 
-def _cmd_profile(args, run: RunConfig, out) -> int:
+def _cmd_profile(args, run: RunConfig) -> dict:
     gens = _parse_family(args.gens, args.p, args.n)
-    config = RegularizeConfig(
-        decompose=DecomposeConfig(seed=run.seed, caps=run.caps), caps=run.caps
-    )
-    prof = variety_mod.solution_profile(gens, args.s, config)
-    _emit(
-        {
-            "exact_count": prof.exact_count,
-            "reduced_dimension": prof.reduced_dimension,
-            "reduced_zero_count": prof.reduced_zero_count,
-            "u": prof.u,
-            "cw_bound": prof.cw_bound,
-            "cw_holds": prof.cw_holds,
-            "axkatz_bound": prof.axkatz_bound,
-            "axkatz_holds": prof.axkatz_holds,
-            "interval": list(prof.interval),
-            "in_interval": prof.in_interval,
-            "seed": run.seed,
-        },
-        run.fmt,
-        out,
-    )
-    return EXIT_OK
+    prof = variety_mod.solution_profile(gens, args.s, _regularize_config(run))
+    return {
+        "exact_count": prof.exact_count,
+        "reduced_dimension": prof.reduced_dimension,
+        "reduced_zero_count": prof.reduced_zero_count,
+        "u": prof.u,
+        "cw_bound": prof.cw_bound,
+        "cw_holds": prof.cw_holds,
+        "axkatz_bound": prof.axkatz_bound,
+        "axkatz_holds": prof.axkatz_holds,
+        "interval": list(prof.interval),
+        "in_interval": prof.in_interval,
+        "seed": run.seed,
+    }
 
 
 def _rm_params(args) -> rm_mod.RMParams:
     return rm_mod.RMParams(args.p, args.n, args.d)
 
 
-def _cmd_rm(args, run: RunConfig, out) -> int:
-    sub = args.rm_command
-    if sub == "mindist":
-        params = _rm_params(args)
-        value = rm_mod.min_distance_empirical(params, run.caps)
-        _emit(
-            {
-                "min_distance": str(value),
-                "formula": str(params.min_distance_formula()),
-                "matches": value == params.min_distance_formula(),
-            },
-            run.fmt,
-            out,
-        )
-    elif sub == "listdecode":
-        params = _rm_params(args)
-        center = parse_poly(args.center, args.p, args.n)
-        result = rm_mod.list_decode_brute(params, center, args.radius, run.caps)
-        _emit(
-            {
-                "list_size": len(result),
-                "radius": result.radius,
-                "codewords": [
-                    {"poly": poly_to_str(f), "distance": str(dist)}
-                    for f, dist in result.entries
-                ],
-            },
-            run.fmt,
-            out,
-        )
-    elif sub == "johnson":
-        radius, cap = rm_mod.johnson_bound(args.p, args.eps)
-        _emit({"radius": radius, "list_cap": cap, "eps": args.eps}, run.fmt, out)
-    elif sub == "profile":
-        params = _rm_params(args)
-        spec = rm_mod.CentersSpec(
-            random_count=args.random_centers,
-            noisy_count=args.noisy_centers,
-            noise_rate=args.noise,
-            all_codewords=args.all_codewords,
-        )
-        prof = rm_mod.list_size_profile(
-            params, args.s, spec, seed=run.seed, caps=run.caps,
-            bound_constant=args.bound_constant,
-        )
-        rows = [
-            {
-                "radius": row.radius,
-                "center_kind": row.center_kind,
-                "list_size": row.list_size,
-            }
-            for row in prof.rows
-        ]
-        if run.fmt == "csv":
-            _emit({"rows": rows}, run.fmt, out)
-        else:
-            _emit(
-                {
-                    "rows": rows,
-                    "max_by_radius": {str(k): v for k, v in prof.max_by_radius.items()},
-                    "consistent_with_bound": prof.consistent_with_bound,
-                    "seed": run.seed,
-                },
-                run.fmt,
-                out,
-            )
-    elif sub == "fourier":
-        f = parse_poly(args.poly, args.p, args.n)
-        alphas = rm_mod.simplex_fourier(f, caps=run.caps)
-        entries = sorted(
-            ([list(a), b, v] for (a, b), v in alphas.items() if abs(v) > 1e-12),
-            key=lambda kv: (kv[0], kv[1]),
-        )
-        _emit({"coefficients": entries, "basis_size": len(alphas)}, run.fmt, out)
-    elif sub == "weakreg":
-        family = _parse_family(args.family, args.p, args.n)
-        phi = rm_mod.SimplexFunction.embed(
-            args.p, family[0].n, table=extend_variables(
-                parse_poly(args.poly, args.p, None), family[0].n
-            ).eval_table()
-        )
-        terms, residual = rm_mod.weak_regularity(phi, family, args.eps)
-        _emit(
-            {
-                "terms": [[i, a] for i, a in terms],
-                "iterations": len(terms),
-                "eps": args.eps,
-            },
-            run.fmt,
-            out,
-        )
-    else:
-        raise InputError(f"unknown rm subcommand {sub!r}")
-    return EXIT_OK
+def _cmd_rm_mindist(args, run: RunConfig) -> dict:
+    params = _rm_params(args)
+    value = rm_mod.min_distance_empirical(params, run.caps)
+    return {
+        "min_distance": str(value),
+        "formula": str(params.min_distance_formula()),
+        "matches": value == params.min_distance_formula(),
+    }
+
+
+def _cmd_rm_listdecode(args, run: RunConfig) -> dict:
+    params = _rm_params(args)
+    center = parse_poly(args.center, args.p, args.n)
+    result = rm_mod.list_decode_brute(params, center, args.radius, run.caps)
+    return {
+        "list_size": len(result),
+        "radius": result.radius,
+        "codewords": [
+            {"poly": poly_to_str(f), "distance": str(dist)} for f, dist in result.entries
+        ],
+    }
+
+
+def _cmd_rm_johnson(args, run: RunConfig) -> dict:
+    radius, cap = rm_mod.johnson_bound(args.p, args.eps)
+    return {"radius": radius, "list_cap": cap, "eps": args.eps}
+
+
+def _cmd_rm_profile(args, run: RunConfig) -> dict:
+    params = _rm_params(args)
+    spec = rm_mod.CentersSpec(
+        random_count=args.random_centers,
+        noisy_count=args.noisy_centers,
+        noise_rate=args.noise,
+        all_codewords=args.all_codewords,
+    )
+    prof = rm_mod.list_size_profile(
+        params, args.s, spec, seed=run.seed, caps=run.caps,
+        bound_constant=args.bound_constant,
+    )
+    rows = [
+        {"radius": row.radius, "center_kind": row.center_kind, "list_size": row.list_size}
+        for row in prof.rows
+    ]
+    if run.fmt == "csv":
+        return {"rows": rows}
+    return {
+        "rows": rows,
+        "max_by_radius": {str(k): v for k, v in prof.max_by_radius.items()},
+        "consistent_with_bound": prof.consistent_with_bound,
+        "seed": run.seed,
+    }
+
+
+def _cmd_rm_fourier(args, run: RunConfig) -> dict:
+    f = parse_poly(args.poly, args.p, args.n)
+    alphas = rm_mod.simplex_fourier(f, caps=run.caps)
+    entries = sorted(
+        ([list(a), b, v] for (a, b), v in alphas.items() if abs(v) > 1e-12),
+        key=lambda kv: (kv[0], kv[1]),
+    )
+    return {"coefficients": entries, "basis_size": len(alphas)}
+
+
+def _cmd_rm_weakreg(args, run: RunConfig) -> dict:
+    family = _parse_family(args.family, args.p, args.n)
+    phi = rm_mod.SimplexFunction.embed(
+        args.p, family[0].n, table=extend_variables(
+            parse_poly(args.poly, args.p, None), family[0].n
+        ).eval_table()
+    )
+    terms, _ = rm_mod.weak_regularity(phi, family, args.eps)
+    return {"terms": [[i, a] for i, a in terms], "iterations": len(terms), "eps": args.eps}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -556,9 +491,13 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("rm")
     rm_subs = sp.add_subparsers(dest="rm_command", required=True)
-    for name in ["mindist", "listdecode", "johnson", "profile", "fourier", "weakreg"]:
+    for name, func in [
+        ("mindist", _cmd_rm_mindist), ("listdecode", _cmd_rm_listdecode),
+        ("johnson", _cmd_rm_johnson), ("profile", _cmd_rm_profile),
+        ("fourier", _cmd_rm_fourier), ("weakreg", _cmd_rm_weakreg),
+    ]:
         rp = rm_subs.add_parser(name); _add_common(rp)
-        rp.set_defaults(func=_cmd_rm)
+        rp.set_defaults(func=func)
         if name in ("mindist", "listdecode", "profile"):
             rp.add_argument("--d", type=int, required=True)
         if name == "listdecode":
@@ -594,7 +533,8 @@ def dispatch(argv: list[str], out=None) -> int:
             caps=_build_caps(args),
             fmt=args.format,
         )
-        return args.func(args, run, out)
+        _emit(args.func(args, run), run.fmt, out)
+        return EXIT_OK
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -52,16 +52,11 @@ class DecomposeConfig:
     t: int = 2                    # target error exponent for the approximate stage
     retries: int = 16             # fresh-sample retries inside the approximate stage
     seed: int = 0
-    pipeline_retries: int = 4     # full pipeline reruns when measurability fails
-    regularity_s: int | None = None  # None: start at s + 1, escalate per rerun
-    error_samples: int = 4096     # sampled error measurement above the enum cap
     caps: Caps = DEFAULT_CAPS
 
 
 @dataclass(frozen=True)
 class RegularizeConfig:
-    """Budget and sub-configuration for factor regularization."""
+    """Sub-configuration for factor regularization; its caps are decompose.caps."""
 
-    max_iterations: int = 64
     decompose: DecomposeConfig = field(default_factory=DecomposeConfig)
-    caps: Caps = DEFAULT_CAPS

@@ -35,6 +35,7 @@ from .ffpoly import (
 )
 
 INFINITE_RANK = float("inf")
+_PIPELINE_RETRIES = 4  # full pipeline reruns when measurability fails
 
 
 @dataclass
@@ -46,7 +47,6 @@ class Decomposition:
     directions: list[tuple[int, ...]] | None
     claimed_error: float
     exact: bool
-    seed: int | None = None
     k: int | None = None
     attempts: int = 1
 
@@ -122,7 +122,6 @@ def approx_decompose(
             directions=dirs,
             claimed_error=err,
             exact=False,
-            seed=seed,
             k=k,
             attempts=attempt + 1,
         )
@@ -182,10 +181,9 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
     mu = _check_bias(f, s, caps, trust_bias=False)
     s_eff = min(s, _bias_exponent(mu.magnitude, p))
 
-    base_reg_s = config.regularity_s if config.regularity_s is not None else s + 1
     best_agreement = -1.0
     diagnostics: dict = {}
-    for attempt in range(max(1, config.pipeline_retries)):
+    for attempt in range(_PIPELINE_RETRIES):
         approx = approx_decompose(
             f,
             s_eff,
@@ -193,12 +191,10 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
             seed=int(np.random.default_rng([config.seed, 7, attempt]).integers(1 << 62)),
             retries=config.retries,
             caps=caps,
-            error_samples=config.error_samples,
         )
-        reg_s = base_reg_s + attempt
-        reg_config = RegularizeConfig(decompose=config, caps=caps)
+        reg_s = s + 1 + attempt  # escalate the regularity level per rerun
         regular = factor_mod.regularize(
-            factor_mod.PolynomialFactor(approx.polys), reg_s, reg_config
+            factor_mod.PolynomialFactor(approx.polys), reg_s, RegularizeConfig(decompose=config)
         )
         table, exact, agreement = factor_mod.measurable_table(f, regular, caps)
         if exact:
@@ -208,7 +204,6 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
                 directions=None,
                 claimed_error=0.0,
                 exact=True,
-                seed=config.seed,
                 k=approx.k,
                 attempts=attempt + 1,
             )
@@ -216,7 +211,7 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
             best_agreement = agreement
             diagnostics = {"agreement": agreement, "factor_size": regular.c, "reg_s": reg_s}
     raise PartialResultError(
-        f"f is not measurable after {config.pipeline_retries} pipeline attempts "
+        f"f is not measurable after {_PIPELINE_RETRIES} pipeline attempts "
         f"(best agreement {best_agreement:.6g})",
         diagnostics=diagnostics,
     )

@@ -25,10 +25,11 @@ from .errors import (
     PreconditionError,
 )
 from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, cube_corners, grlex_key, monomials_upto, sample_points,
+    LookupTable, MultiPoly, _value_rows, cube_corners, monomials_upto, sample_points,
 )
 
 _SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
+_MAX_ITERATIONS = 64  # regularization budget
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,6 @@ def find_biased_combination(
     return None
 
 
-def _nonconstant_vector(g: MultiPoly, monomials: list) -> list[int]:
-    return [g.terms.get(e, 0) for e in monomials]
-
-
 def _dependency_reduce(
     polys: list[MultiPoly], pinned: int
 ) -> tuple[list[MultiPoly], bool]:
@@ -175,38 +172,24 @@ def _dependency_reduce(
 
     Fast path for factors too large to scan: an affine dependency is exactly
     a bias-1 combination, and the dropped polynomial stays determined by the
-    survivors, so semantic refinement is preserved.
+    survivors, so semantic refinement is preserved.  The kept polynomials are
+    the pivot columns of the (nonconstant monomials x polys) coefficient
+    matrix: each is independent of the columns before it.
     """
     if not polys:
         return polys, False
-    p = polys[0].p
     zero_mon = (0,) * polys[0].n
-    monomials = sorted(
-        {e for g in polys for e in g.terms if e != zero_mon}, key=grlex_key
-    )
-    tracker = linalg.SpanTracker(p)
-    kept: list[MultiPoly] = []
-    changed = False
-    for i, g in enumerate(polys):
-        vec = _nonconstant_vector(g, monomials)
-        if not any(vec):
-            if i < pinned:
-                raise PartialResultError(
-                    "pinned polynomial is constant; cannot regularize without replacing it",
-                    partial=PolynomialFactor(polys, 0, pinned),
-                )
-            changed = True
-            continue
-        if tracker.add(vec):
-            kept.append(g)
-        else:
-            if i < pinned:
-                raise PartialResultError(
-                    "pinned polynomial depends on earlier pinned ones",
-                    partial=PolynomialFactor(polys, 0, pinned),
-                )
-            changed = True
-    return kept, changed
+    monomials = sorted({e for g in polys for e in g.terms if e != zero_mon})
+    _, pivots = linalg.rref([[g.terms.get(e, 0) for g in polys] for e in monomials], polys[0].p)
+    for i in range(pinned):
+        if i not in pivots:
+            raise PartialResultError(
+                "pinned polynomial is constant; cannot regularize without replacing it"
+                if polys[i].is_constant() else
+                "pinned polynomial depends on earlier pinned ones",
+                partial=PolynomialFactor(polys, 0, pinned),
+            )
+    return [polys[i] for i in pivots], len(pivots) < len(polys)
 
 
 def _replacement_index(coeffs, polys, pinned: int) -> int:
@@ -233,10 +216,10 @@ def regularize(
     from . import decompose as decompose_mod
 
     config = config or RegularizeConfig()
-    caps = config.caps
+    caps = config.decompose.caps
     work = list(factor.polys)
     pinned = factor.pinned_prefix
-    for iteration in range(config.max_iterations):
+    for iteration in range(_MAX_ITERATIONS):
         if not work:
             return PolynomialFactor(work, regularity_s=s, pinned_prefix=pinned)
         p = work[0].p
@@ -268,9 +251,9 @@ def regularize(
             replacement = list(sub.polys)
         work = work[:target] + replacement + work[target + 1:]
     raise PartialResultError(
-        f"regularization budget of {config.max_iterations} iterations exceeded",
+        f"regularization budget of {_MAX_ITERATIONS} iterations exceeded",
         partial=PolynomialFactor(work, regularity_s=0, pinned_prefix=pinned),
-        diagnostics={"iterations": config.max_iterations, "size": len(work)},
+        diagnostics={"iterations": _MAX_ITERATIONS, "size": len(work)},
     )
 
 

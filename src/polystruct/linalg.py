@@ -53,31 +53,3 @@ def solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
             x[c] = red[r][ncols]
     return x
 
-
-class SpanTracker:
-    """Incremental row space over F_p; reports whether each added vector is new."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[list[int]] = []   # kept in echelon form
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec: list[int]) -> list[int]:
-        v = [x % self.p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                fac = v[c]
-                v = [(a - fac * b) % self.p for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: list[int]) -> bool:
-        """Insert vec; True if it increased the span, False if dependent."""
-        v = self._reduce(vec)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        inv = pow(v[c], self.p - 2, self.p)
-        v = [(x * inv) % self.p for x in v]
-        self.rows.append(v)
-        self.pivots.append(c)
-        return True

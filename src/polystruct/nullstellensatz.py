@@ -2,9 +2,12 @@
 
 Identity of polynomials means functional identity: both sides are reduced
 mod x_i^p - x_i and compared coefficientwise, matching quantification over
-the rational points of F_p^n.  The certificate search solves a coefficient
-matching linear system for each (r, D) cell, r ascending then D ascending,
-so returned certificates have minimal exponent first.
+the rational points of F_p^n.  The certificate search solves one
+coefficient-matching linear system per exponent r, r ascending, with the
+unknowns ordered degree-major (monomials in graded order, then generators).
+Elimination takes the leftmost pivots, so the solution with free unknowns at
+0 lies inside the smallest feasible degree prefix: the degree cap D is read
+off the solution, and returned certificates have minimal r, then minimal D.
 """
 
 from __future__ import annotations
@@ -66,48 +69,39 @@ def find_certificate(
     caps.require("unknowns_cap", len(mons))
     c = len(spec.generators)
 
-    # column polynomials reduce(x^m * P_i), shared across all (r, D) cells
-    columns: list[list[MultiPoly]] = []
-    for gen in spec.generators:
-        columns.append(
-            [functional_reduce(MultiPoly(ctx, n, {m: 1}) * gen) for m in mons]
-        )
-    degree_prefix = [0] * (d_max + 1)
-    for deg in range(d_max + 1):
-        degree_prefix[deg] = sum(1 for m in mons if sum(m) <= deg)
+    # unknown c*j + i is the coefficient of x^mons[j] in R_i: its column is reduce(x^m * P_i)
+    columns = [
+        functional_reduce(MultiPoly(ctx, n, {m: 1}) * gen)
+        for m in mons for gen in spec.generators
+    ]
+    support = sorted({e for col in columns for e in col.terms})
+    row_of = {e: i for i, e in enumerate(support)}
+    matrix = [[0] * len(columns) for _ in support]
+    for u, col in enumerate(columns):
+        for e, coeff in col.terms.items():
+            matrix[row_of[e]][u] = coeff
 
     target = functional_reduce(spec.query)
     power = target
     for r in range(1, r_max + 1):
         if r > 1:
             power = functional_reduce(power * target)
-        for degree in range(d_max + 1):
-            m_count = degree_prefix[degree]
-            active = [columns[i][j] for i in range(c) for j in range(m_count)]
-            support = sorted(
-                {e for col in active for e in col.terms} | set(power.terms)
+        if not row_of.keys() >= power.terms.keys():
+            continue  # Q^r has a monomial no column reaches
+        solution = linalg.solve(matrix, [power.terms.get(e, 0) for e in support], p)
+        if solution is None:
+            continue
+        cofactors = tuple(
+            MultiPoly(ctx, n, {m: solution[c * j + i] for j, m in enumerate(mons)})
+            for i in range(c)
+        )
+        degree = max((sum(mons[u // c]) for u, v in enumerate(solution) if v), default=0)
+        cert = Certificate(r=r, cofactors=cofactors, degree_cap=degree)
+        if not cert.verify(spec):
+            raise InternalConsistencyError(
+                f"certificate at (r={r}, D={degree}) failed re-verification"
             )
-            row_of = {e: i for i, e in enumerate(support)}
-            matrix = [[0] * len(active) for _ in support]
-            for u, col in enumerate(active):
-                for e, coeff in col.terms.items():
-                    matrix[row_of[e]][u] = coeff
-            rhs = [power.terms.get(e, 0) for e in support]
-            solution = linalg.solve(matrix, rhs, p)
-            if solution is None:
-                continue
-            cofactors = []
-            for i in range(c):
-                terms = {
-                    mons[j]: solution[i * m_count + j] for j in range(m_count)
-                }
-                cofactors.append(MultiPoly(ctx, n, terms))
-            cert = Certificate(r=r, cofactors=tuple(cofactors), degree_cap=degree)
-            if not cert.verify(spec):
-                raise InternalConsistencyError(
-                    f"certificate at (r={r}, D={degree}) failed re-verification"
-                )
-            return cert
+        return cert
     return None
 
 

@@ -99,7 +99,6 @@ def min_distance_empirical(params: RMParams, caps: Caps = DEFAULT_CAPS) -> Fract
 class ListResult:
     """Codewords within the radius, sorted by distance then canonical order."""
 
-    center_label: str
     radius: float
     entries: tuple[tuple[MultiPoly, Fraction], ...]
 
@@ -111,7 +110,7 @@ class ListResult:
 
 
 def list_decode_brute(
-    params: RMParams, center, radius, caps: Caps = DEFAULT_CAPS, label: str = "center"
+    params: RMParams, center, radius, caps: Caps = DEFAULT_CAPS
 ) -> ListResult:
     """Exhaustive scan of every codeword against the center; a MultiPoly is
     built only for each codeword in the list."""
@@ -127,7 +126,6 @@ def list_decode_brute(
     hits = hits[np.argsort(dist[hits], kind="stable")]
     mons = monomials_upto(params.n, params.d, params.p)
     return ListResult(
-        center_label=label,
         radius=float(radius),
         entries=tuple(
             (MultiPoly(params.ctx, params.n, dict(zip(mons, grid[i].tolist()))),

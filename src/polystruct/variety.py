@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import InputError, InternalConsistencyError
-from .factor import PolynomialFactor, atom_ids, regularize, semantic_refines
+from .factor import PolynomialFactor, atom_ids, regularize
 from .ffpoly import FieldCtx, _value_rows
 
 
@@ -71,7 +71,7 @@ def count_points_regularized(
 ) -> VarietyReport:
     """Approximate count p^(n-c') * |zeros of the reduced system|."""
     config = config or RegularizeConfig()
-    caps = config.caps
+    caps = config.decompose.caps
     generators = list(generators)
     ctx, n = _ambient(generators, ctx, n)
     p = ctx.p
@@ -80,14 +80,17 @@ def count_points_regularized(
     regular = regularize(PolynomialFactor(generators), s, config)
     cprime = regular.c
     caps.require("reduced_scan_cap", p ** cprime)
-    if not semantic_refines(regular, PolynomialFactor(generators), caps):
+    caps.require("enum_cap", p ** n)
+    _, ids = atom_ids(_value_rows(regular.polys, p ** n))
+    values = _value_rows(generators, p ** n)
+    firsts = np.unique(ids, return_index=True)[1]  # each atom's first point
+    if (values[:, firsts[ids]] != values).any():
         raise InternalConsistencyError(
             "generators not measurable over their own regularization; "
             "semantic refinement was violated"
         )
     # the generators are constant on each atom: count the nonempty atoms of common zeros
-    _, ids = atom_ids(_value_rows(regular.polys, p ** n))
-    reduced_zeros = len(np.unique(ids[(_value_rows(generators, p ** n) == 0).all(axis=0)]))
+    reduced_zeros = len(np.unique(ids[(values == 0).all(axis=0)]))
     approx = p ** (n - cprime) * reduced_zeros
     return VarietyReport(
         exact_count=None,
@@ -129,7 +132,7 @@ def solution_profile(
     generators = list(generators)
     ctx, n = _ambient(generators, ctx, n)
     p = ctx.p
-    exact = count_points_exact(generators, ctx, n, config.caps).exact_count
+    exact = count_points_exact(generators, ctx, n, config.decompose.caps).exact_count
     reg = count_points_regularized(generators, s, config, ctx, n)
     cprime = reg.reduced_dimension
     reduced_zeros = reg.approx_count // (p ** (n - cprime)) if cprime is not None else 0

@@ -1,5 +1,7 @@
 """Dispatch, output formats, determinism, and exit codes."""
 
+import argparse
+import dataclasses
 import io
 import json
 import time
@@ -7,6 +9,7 @@ import time
 import pytest
 
 from polystruct.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_OK, build_parser, dispatch
+from polystruct.config import Caps, DecomposeConfig, RegularizeConfig
 
 
 def run(argv):
@@ -219,3 +222,51 @@ def test_empty_draws_over_a_field_above_int64_answer(argv, key, want):
     code, text = run(argv)
     assert code == EXIT_OK
     assert json.loads(text)[key] == want
+
+
+# -- the settable values: a new flag or config field fails here until it is recorded
+
+_COMMON = {"-h", "--help", "--p", "--n", "--seed", "--format", "--cap-enum", "--cap-search",
+           "--cap-codewords", "--cap-unknowns", "--cap-reduced"}
+_OPTIONS = {
+    "bias": {"--poly", "--mode", "--samples"},
+    "gowers": {"--poly", "--d", "--mode", "--samples"},
+    "decompose": {"--poly", "--s", "--t", "--retries", "--mode"},
+    "rank2": {"--poly"},
+    "regularize": {"--gens", "--s", "--pinned"},
+    "atoms": {"--gens", "--samples"},
+    "cubes": {"--gens", "--k", "--samples"},
+    "table": {"--gens", "--poly"},
+    "nss": {"--gens", "--q", "--dmax", "--rmax"},
+    "weak-nss": {"--gens", "--dmax"},
+    "radical": {"--gens", "--q", "--dmax"},
+    "count": {"--gens", "--mode", "--s"},
+    "profile": {"--gens", "--s"},
+    "rm mindist": {"--d"},
+    "rm listdecode": {"--d", "--center", "--radius"},
+    "rm johnson": {"--eps"},
+    "rm profile": {"--d", "--s", "--random-centers", "--noisy-centers", "--noise",
+                   "--all-codewords", "--bound-constant"},
+    "rm fourier": {"--poly"},
+    "rm weakreg": {"--poly", "--family", "--eps"},
+}
+
+
+def _subcommand_options(parser, prefix=""):
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[prefix + name] = {o for a in sub._actions for o in a.option_strings}
+                found.update(_subcommand_options(sub, f"{prefix}{name} "))
+    return found
+
+
+def test_settable_values_are_pinned():
+    want = {name: _COMMON | extra for name, extra in _OPTIONS.items()}
+    want["rm"] = {"-h", "--help"}
+    assert _subcommand_options(build_parser()) == want
+    assert [f.name for f in dataclasses.fields(Caps)] == [
+        "enum_cap", "search_cap", "codeword_cap", "unknowns_cap", "reduced_scan_cap"]
+    assert [f.name for f in dataclasses.fields(DecomposeConfig)] == ["t", "retries", "seed", "caps"]
+    assert [f.name for f in dataclasses.fields(RegularizeConfig)] == ["decompose"]

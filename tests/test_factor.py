@@ -9,9 +9,10 @@ from polystruct import oracle
 from polystruct.bias import BIAS_TOL, exact_bias
 from polystruct.config import Caps
 from polystruct.decompose import Decomposition, decomposition_error, quadratic_rank, INFINITE_RANK
-from polystruct.errors import CapExceeded, PreconditionError
+from polystruct.errors import CapExceeded, PartialResultError, PreconditionError
 from polystruct.factor import (
     PolynomialFactor,
+    _dependency_reduce,
     atom_histogram,
     combine,
     find_biased_combination,
@@ -410,3 +411,93 @@ def test_exact_decomposition_error_matches_a_per_point_loop(case):
     atoms = _oracle_atoms(factor, len(values))
     misses = sum(1 for atom, v in zip(atoms, values) if gamma(atom) != v)
     assert decomposition_error(f, dec) == misses / len(values)
+
+
+# -- affine dependencies against a greedy per-vector span --------------------
+
+
+def _greedy_span_reduce(polys, pinned):
+    """Keep each polynomial whose nonconstant coefficient vector is independent
+    of the ones kept before it, reducing it against an echelon basis grown one
+    vector at a time."""
+    p = polys[0].p
+    monomials = sorted({e for g in polys for e in g.terms if any(e)})
+    rows, pivots, kept = [], [], []
+    for i, g in enumerate(polys):
+        vec = [g.terms.get(e, 0) for e in monomials]
+        v = list(vec)
+        for row, c in zip(rows, pivots):
+            if v[c]:
+                v = [(a - v[c] * b) % p for a, b in zip(v, row)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            if i < pinned:
+                raise PartialResultError(
+                    "pinned polynomial depends on earlier pinned ones" if any(vec) else
+                    "pinned polynomial is constant; cannot regularize without replacing it"
+                )
+            continue
+        inv = pow(v[c], p - 2, p)
+        rows.append([x * inv % p for x in v])
+        pivots.append(c)
+        kept.append(g)
+    return kept, len(kept) < len(polys)
+
+
+def _outcome(reduce, polys, pinned):
+    try:
+        return reduce(polys, pinned)
+    except PartialResultError as exc:
+        return str(exc)
+
+
+@st.composite
+def dependency_cases(draw):
+    """Polynomials that are fresh, constant, or affine combinations of earlier ones."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    ctx = FieldCtx(p)
+    mons = monomials_upto(n, 2, p)
+    polys = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "constant", "combination"]))
+        const = MultiPoly.constant(ctx, n, draw(st.integers(0, p - 1)))
+        if kind == "fresh" or not polys:
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+            polys.append(MultiPoly(ctx, n, dict(zip(mons, coeffs))))
+        elif kind == "constant":
+            polys.append(const)
+        else:
+            g = const
+            for h in polys:
+                g = g + h * draw(st.integers(0, p - 1))
+            polys.append(g)
+    return polys, draw(st.integers(0, len(polys)))
+
+
+def _polys(texts, p, n):
+    return [parse_poly(t, p, n=n) for t in texts.split(";")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependency_cases())
+@example((_polys("x1;2;x2", 3, 2), 2))  # a pinned constant
+@example((_polys("x1;2*x1 + 1;x2", 3, 2), 2))  # a pinned dependent polynomial
+@example((_polys("1;2;0", 3, 2), 0))  # constants only
+def test_dependency_reduce_matches_a_greedy_span(case):
+    polys, pinned = case
+    want = _outcome(_greedy_span_reduce, polys, pinned)
+    assert _outcome(_dependency_reduce, polys, pinned) == want
+
+
+def test_dependency_reduce_examples():
+    with pytest.raises(PartialResultError, match="^pinned polynomial is constant; cannot "
+                       "regularize without replacing it$"):
+        _dependency_reduce(_polys("x1;2;x2", 3, 2), 2)
+    with pytest.raises(PartialResultError,
+                       match="^pinned polynomial depends on earlier pinned ones$"):
+        _dependency_reduce(_polys("x1;2*x1 + 1;x2", 3, 2), 2)
+    assert _dependency_reduce(_polys("1;2;0", 3, 2), 0) == ([], True)
+    polys = _polys("x1;2*x1 + 1;x2;x1 + x2;x1*x2", 5, 2)
+    assert _dependency_reduce(polys, 1) == ([polys[0], polys[2], polys[4]], True)
+    assert _dependency_reduce(polys[:1], 1) == (polys[:1], False)

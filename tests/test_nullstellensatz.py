@@ -1,8 +1,12 @@
 """Certificate search, weak form, and radical membership."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polystruct import linalg, oracle
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded
 from polystruct.ffpoly import (
@@ -173,3 +177,92 @@ def test_vanishing_matches_a_pointwise_scan():
     zero = parse_poly("0", big, n=0)
     assert vanishes_on_variety(IdealSpec([one], one)) is True
     assert vanishes_on_variety(IdealSpec([zero], one)) is False
+
+
+# -- one system per r against the per-cell search ------------------------------
+
+
+def _per_cell_certificate(spec, d_max, r_max):
+    """The (r, D) cell loop: r ascending, then D ascending, with the unknowns
+    generator-major and one solve per cell.  Returns (r, D) or None."""
+    ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
+    mons = monomials_upto(n, d_max, p)
+    c = len(spec.generators)
+    columns = [
+        [functional_reduce(MultiPoly(ctx, n, {m: 1}) * gen) for m in mons]
+        for gen in spec.generators
+    ]
+    target = functional_reduce(spec.query)
+    power = target
+    for r in range(1, r_max + 1):
+        if r > 1:
+            power = functional_reduce(power * target)
+        for degree in range(d_max + 1):
+            m_count = sum(1 for m in mons if sum(m) <= degree)
+            active = [columns[i][j] for i in range(c) for j in range(m_count)]
+            support = sorted({e for col in active for e in col.terms} | set(power.terms))
+            row_of = {e: i for i, e in enumerate(support)}
+            matrix = [[0] * len(active) for _ in support]
+            for u, col in enumerate(active):
+                for e, coeff in col.terms.items():
+                    matrix[row_of[e]][u] = coeff
+            rhs = [power.terms.get(e, 0) for e in support]
+            if linalg.solve(matrix, rhs, p) is not None:
+                return r, degree
+    return None
+
+
+@st.composite
+def certificate_cases(draw):
+    """1-3 generators of degree <= 2 and a query that is random, in the ideal,
+    or a root of the first generator's square factor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    ctx = FieldCtx(p)
+
+    def poly(degree):
+        mons = monomials_upto(n, degree, p)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+        return MultiPoly(ctx, n, dict(zip(mons, coeffs)))
+
+    gens = [poly(2) for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["random", "ideal", "power"]))
+    if kind == "random":
+        q = poly(2)
+    elif kind == "ideal":
+        q = MultiPoly.zero(ctx, n)
+        for g in gens:
+            q = q + poly(1) * g
+    else:
+        q = poly(1)
+        gens[0] = q * q * poly(1)
+    return IdealSpec(gens, q), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+
+def _spec(texts, q, p, n):
+    return IdealSpec([parse_poly(t, p, n=n) for t in texts.split(";")], parse_poly(q, p, n=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+@example((_spec("x1^2 + x2;x1*x2", "0", 3, 2), 2, 2))  # Q = 0: zero cofactors at D = 0
+@example((_spec("x1;x1 + 1", "1", 3, 1), 1, 1))  # Q = 1: the weak form
+@example((_spec("x1^2 + 2*x2;x1*x2 + x1", "x1*x2^2 + x1", 5, 2), 3, 1))  # only at D = d_max
+def test_find_certificate_matches_the_per_cell_search(case):
+    spec, d_max, r_max = case
+    with mock.patch.object(linalg, "solve", wraps=linalg.solve) as solve:
+        cert = find_certificate(spec, d_max, r_max)
+    assert solve.call_count <= r_max
+    want = _per_cell_certificate(spec, d_max, r_max)
+    assert (cert is None) == (want is None)
+    if cert is None:
+        return
+    assert (cert.r, cert.degree_cap) == want
+    assert max((g.degree() for g in cert.cofactors), default=0) <= cert.degree_cap
+    p = spec.query.p
+    lhs = oracle.table_of(spec.query ** cert.r).values
+    rhs = [0] * len(lhs)
+    for cof, gen in zip(cert.cofactors, spec.generators):
+        rhs = [(a + b * c) % p for a, b, c in
+               zip(rhs, oracle.table_of(cof).values, oracle.table_of(gen).values)]
+    assert list(lhs) == rhs

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polystruct.config import Caps
-from polystruct.errors import CapExceeded
+from polystruct import variety
+from polystruct.errors import CapExceeded, InternalConsistencyError
 from polystruct.config import RegularizeConfig
 from polystruct.factor import PolynomialFactor, regularize
 from polystruct.ffpoly import FieldCtx, parse_poly, points_lex
@@ -134,3 +135,16 @@ def test_regularized_count_matches_a_per_point_loop(p):
         assert report.reduced_dimension == regular.c
         assert report.approx_count == p ** (n - regular.c) * len(zero_atoms)
         assert report.empty == (not zero_atoms)
+
+
+def test_regularized_count_rejects_a_factor_that_does_not_refine_the_generators(monkeypatch):
+    gens = [parse_poly("x1*x2", 3, n=2)]
+    monkeypatch.setattr(variety, "regularize",
+                        lambda factor, s, config: PolynomialFactor([parse_poly("x2", 3, n=2)]))
+    with pytest.raises(InternalConsistencyError, match="semantic refinement was violated"):
+        count_points_regularized(gens, 1)
+    # x1 and x2 together determine x1*x2: its 5 zeros meet 5 of the 9 atoms
+    monkeypatch.setattr(variety, "regularize", lambda factor, s, config: PolynomialFactor(
+        [parse_poly("x1", 3, n=2), parse_poly("x2", 3, n=2)]))
+    report = count_points_regularized(gens, 1)
+    assert (report.approx_count, report.reduced_dimension) == (5, 2)
