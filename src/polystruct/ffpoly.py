@@ -94,6 +94,21 @@ def monomials_upto(n: int, degree: int, p: int) -> list[Monomial]:
     return [e for level in by_sum for e in level]
 
 
+def count_monomials_upto(n: int, degree: int, p: int, limit: int) -> int:
+    """len(monomials_upto(n, degree, p)) for degree >= 0, counted by sum with
+    prefix sums over one more coordinate at a time.  Once the first k < n
+    coordinates give more than limit vectors, it stops and returns that count."""
+    cap, by_sum, count = min(degree, p - 1), [1], 1  # by_sum: vectors so far, by sum
+    for k in range(1, n + 1):
+        count = sum(c * (min(cap, degree - s) + 1) for s, c in enumerate(by_sum))
+        if count > limit:
+            break
+        prefix = [0, *itertools.accumulate(by_sum)]
+        by_sum = [prefix[min(s, len(by_sum) - 1) + 1] - prefix[max(s - cap, 0)]
+                  for s in range(min(degree, k * cap) + 1)]
+    return count
+
+
 def sample_points(rng, p: int, n: int, m: int) -> np.ndarray:
     """m uniform points of F_p^n as the rows of rng.integers(0, p, size=(m, n)); the
     generator draws no integers at or above 2^63, so only an empty draw works there."""

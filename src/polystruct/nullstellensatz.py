@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, InternalConsistencyError
-from .ffpoly import MultiPoly, _value_rows, extend_variables, functional_reduce, monomials_upto
+from .ffpoly import (
+    MultiPoly, _value_rows, count_monomials_upto, extend_variables, functional_reduce,
+    monomials_upto,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,13 @@ class Certificate:
         return functional_reduce(lhs - functional_reduce(rhs)).is_zero()
 
 
+def _charge_search(n: int, p: int, d_max: int, r_max: int, caps: Caps) -> None:
+    """The input check and unknowns_cap charge of a search in n variables."""
+    if d_max < 0 or r_max < 1:
+        raise InputError("need d_max >= 0 and r_max >= 1")
+    caps.require("unknowns_cap", count_monomials_upto(n, d_max, p, caps.unknowns_cap))
+
+
 def find_certificate(
     spec: IdealSpec, d_max: int, r_max: int, caps: Caps = DEFAULT_CAPS
 ) -> Certificate | None:
@@ -62,11 +72,9 @@ def find_certificate(
     None is not an error: within small caps it cannot distinguish "no
     certificate exists" from "the degree caps are too small".
     """
-    if d_max < 0 or r_max < 1:
-        raise InputError("need d_max >= 0 and r_max >= 1")
     ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
+    _charge_search(n, p, d_max, r_max, caps)
     mons = monomials_upto(n, d_max, p)
-    caps.require("unknowns_cap", len(mons))
     c = len(spec.generators)
 
     # unknown c*j + i is the coefficient of x^mons[j] in R_i: its column is reduce(x^m * P_i)
@@ -88,7 +96,8 @@ def find_certificate(
             power = functional_reduce(power * target)
         if not row_of.keys() >= power.terms.keys():
             continue  # Q^r has a monomial no column reaches
-        solution = linalg.solve(matrix, [power.terms.get(e, 0) for e in support], p)
+        rhs = [power.terms.get(e, 0) for e in support]  # no rows: Q^r = 0, zero cofactors
+        solution = linalg.solve(matrix, rhs, p) if support else [0] * len(columns)
         if solution is None:
             continue
         cofactors = tuple(
@@ -105,9 +114,7 @@ def find_certificate(
     return None
 
 
-def weak_certificate(
-    generators, d_max: int, caps: Caps = DEFAULT_CAPS
-) -> Certificate | None:
+def weak_certificate(generators, d_max: int, caps: Caps = DEFAULT_CAPS) -> Certificate | None:
     """Certificate of sum R_i P_i = 1 (no common zero), exponent fixed to 1."""
     generators = tuple(generators)
     if not generators:
@@ -128,34 +135,34 @@ def vanishes_on_variety(spec: IdealSpec, caps: Caps = DEFAULT_CAPS) -> bool:
 class RadicalReport:
     member: bool
     certificate: Certificate | None
-    oracle_agrees: bool
+    oracle_agrees: bool  # true: only members are searched, and certificates are verified
     route: str  # "direct", "rabinowitsch", or "oracle-only"
 
 
 def radical_membership(
-    spec: IdealSpec,
-    d_max: int,
-    caps: Caps = DEFAULT_CAPS,
-    direct_r_max: int = 2,
+    spec: IdealSpec, d_max: int, caps: Caps = DEFAULT_CAPS, direct_r_max: int = 2
 ) -> RadicalReport:
-    """Decide Q in the radical of <P_1..P_c>, with an exhaustive cross-check.
+    """Decide Q in the radical of <P_1..P_c> by the exhaustive vanishing oracle.
 
-    Tries a direct power certificate first, then the extended system with
-    the generator 1 - y*Q in one extra variable.  The membership verdict
-    always comes from the exhaustive vanishing oracle; a found certificate
-    that contradicted it would be reported as a disagreement.
+    A non-member gets route "oracle-only" and no search, as none can succeed:
+    Q(x) != 0 at a common zero x, so Q^r = sum R_i P_i fails at x, and so does
+    the extended sum at y = Q(x)^-1.  Its input check and both unknowns_cap
+    charges are still made, in the searches' order.  A member gets a direct
+    power certificate if one exists, else one of the extended system with the
+    generator 1 - y*Q in one extra variable.
     """
-    member = vanishes_on_variety(spec, caps)
+    ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
+    if not vanishes_on_variety(spec, caps):
+        _charge_search(n, p, d_max, direct_r_max, caps)
+        _charge_search(n + 1, p, d_max, 1, caps)
+        return RadicalReport(member=False, certificate=None, oracle_agrees=True,
+                             route="oracle-only")
     cert = find_certificate(spec, d_max, r_max=direct_r_max, caps=caps)
     route = "direct"
     if cert is None:
-        n = spec.query.n
         extended = [extend_variables(g, n + 1) for g in spec.generators]
-        y = MultiPoly.variable(spec.query.ctx, n + 1, n + 1)
-        extended.append(
-            MultiPoly.constant(spec.query.ctx, n + 1, 1) - y * extend_variables(spec.query, n + 1)
-        )
+        y, q = MultiPoly.variable(ctx, n + 1, n + 1), extend_variables(spec.query, n + 1)
+        extended.append(MultiPoly.constant(ctx, n + 1, 1) - y * q)
         cert = weak_certificate(extended, d_max, caps)
         route = "rabinowitsch" if cert is not None else "oracle-only"
-    agrees = cert is None or member
-    return RadicalReport(member=member, certificate=cert, oracle_agrees=agrees, route=route)
+    return RadicalReport(member=True, certificate=cert, oracle_agrees=True, route=route)

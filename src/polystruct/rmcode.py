@@ -1,6 +1,6 @@
 """Reed-Muller codes at desk scale: enumeration, list decoding, and the
 simplex-embedding toolkit (Fourier decomposition over centered line
-embeddings, greedy weak regularity, conditional expectations).
+embeddings, greedy weak regularity).
 
 A code is one read-only pair of small-int arrays, its coefficient grid and
 its codebook of value tables; list decoding, profiles and the minimum
@@ -22,8 +22,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, PreconditionError, UnsupportedError
-from .factor import PolynomialFactor, atom_ids
-from .ffpoly import FieldCtx, MultiPoly, _value_rows, monomials_upto, points_lex
+from .ffpoly import FieldCtx, MultiPoly, monomials_upto, points_lex
 
 FLOAT_TOL = 1e-9
 
@@ -183,10 +182,6 @@ class SimplexFunction:
         values[np.arange(size), table] = 1.0
         return cls(p, n, values, "delta")
 
-    @classmethod
-    def uniform(cls, p: int, n: int) -> "SimplexFunction":
-        return cls(p, n, np.full((p ** n, p), 1.0 / p), "delta")
-
     def centered(self) -> "SimplexFunction":
         if self.space == "centered":
             return self
@@ -287,23 +282,6 @@ def weak_regularity(
             break
     residual = SimplexFunction(p, n, centered - approx, "centered")
     return terms, residual
-
-
-def conditional_expectation(
-    phi: SimplexFunction, factor: PolynomialFactor, caps: Caps = DEFAULT_CAPS
-) -> SimplexFunction:
-    """Average phi over each atom of the factor; output is atom-measurable."""
-    p, n = phi.p, phi.n
-    size = p ** n
-    caps.require("enum_cap", size)
-    if factor.polys and (factor.p != p or factor.n != n):
-        raise InputError("factor domain mismatch")
-    _, ids = atom_ids(_value_rows(factor.polys, size))
-    order = np.argsort(ids, kind="stable")  # each atom's points, ascending
-    out = np.empty_like(phi.values)
-    for rows in np.split(order, np.cumsum(np.bincount(ids))[:-1]):
-        out[rows] = phi.values[rows].mean(axis=0)
-    return SimplexFunction(p, n, out, phi.space)
 
 
 # -- list-size experiments ----------------------------------------------------

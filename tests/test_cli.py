@@ -163,6 +163,19 @@ def test_huge_cube_orders_fail_fast_on_the_enumeration_cap(argv, capsys):
     assert "enum_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nss", "--p", "1000000007", "--n", "1", "--gens", "x1", "--q", "x1", "--dmax", "100000000"],
+    ["weak-nss", "--p", "1000000007", "--n", "2", "--gens", "x1;x2+1", "--dmax", "30000"],
+])
+def test_huge_certificate_degrees_fail_fast_on_the_unknowns_cap(argv, capsys):
+    # the monomials are counted against the cap before any is built
+    start = time.perf_counter()
+    code, _ = run(argv)
+    assert code == EXIT_CAP
+    assert time.perf_counter() - start < 1.0
+    assert "unknowns_cap" in capsys.readouterr().err
+
+
 P61 = str(2**61 - 1)
 P64 = str(2**64 + 13)  # a prime above the int64 range
 

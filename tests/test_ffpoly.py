@@ -17,6 +17,7 @@ from polystruct.ffpoly import (
     MultiPoly,
     compose_gamma,
     compose_poly,
+    count_monomials_upto,
     derivative,
     functional_reduce,
     homogeneous_top,
@@ -56,6 +57,25 @@ def test_monomials_upto_matches_product_and_filter():
                     key=lambda e: (sum(e), e),
                 )
                 assert monomials_upto(n, budget, p) == naive, (p, n, budget)
+
+
+def test_count_monomials_upto_matches_the_list_below_its_limit():
+    for p in (2, 3, 5, 7):
+        for n in range(6):
+            for budget in list(range(9)) + [n * (p - 1)]:
+                want = len(monomials_upto(n, budget, p))
+                for limit in range(want + 3):
+                    got = count_monomials_upto(n, budget, p, limit)
+                    if want <= limit:
+                        assert got == want, (p, n, budget, limit)
+                    else:  # stopped early: a lower bound, above the limit
+                        assert limit < got <= want, (p, n, budget, limit)
+    # the list would not fit in memory; the count stops after one coordinate
+    start = time.perf_counter()
+    assert count_monomials_upto(1, 10**8, 10**9 + 7, 5000) == 10**8 + 1
+    assert count_monomials_upto(2, 30000, 10**9 + 7, 5000) == 30001
+    assert count_monomials_upto(10**5, 1, 2, 5000) == 5001
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_examples():

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from polystruct import linalg, oracle
 from polystruct.config import Caps
-from polystruct.errors import CapExceeded
+from polystruct.errors import CapExceeded, PolystructError
 from polystruct.ffpoly import (
     FieldCtx,
     MultiPoly,
+    extend_variables,
     functional_reduce,
     monomials_upto,
     parse_poly,
@@ -19,6 +20,7 @@ from polystruct.ffpoly import (
 )
 from polystruct.nullstellensatz import (
     IdealSpec,
+    RadicalReport,
     find_certificate,
     radical_membership,
     vanishes_on_variety,
@@ -207,7 +209,8 @@ def _per_cell_certificate(spec, d_max, r_max):
                 for e, coeff in col.terms.items():
                     matrix[row_of[e]][u] = coeff
             rhs = [power.terms.get(e, 0) for e in support]
-            if linalg.solve(matrix, rhs, p) is not None:
+            # an empty system (all columns and Q^r zero) is solved by zero cofactors
+            if not support or linalg.solve(matrix, rhs, p) is not None:
                 return r, degree
     return None
 
@@ -248,6 +251,7 @@ def _spec(texts, q, p, n):
 @example((_spec("x1^2 + x2;x1*x2", "0", 3, 2), 2, 2))  # Q = 0: zero cofactors at D = 0
 @example((_spec("x1;x1 + 1", "1", 3, 1), 1, 1))  # Q = 1: the weak form
 @example((_spec("x1^2 + 2*x2;x1*x2 + x1", "x1*x2^2 + x1", 5, 2), 3, 1))  # only at D = d_max
+@example((_spec("0", "0", 3, 1), 1, 1))  # no rows at all: the zero certificate
 def test_find_certificate_matches_the_per_cell_search(case):
     spec, d_max, r_max = case
     with mock.patch.object(linalg, "solve", wraps=linalg.solve) as solve:
@@ -266,3 +270,60 @@ def test_find_certificate_matches_the_per_cell_search(case):
         rhs = [(a + b * c) % p for a, b, c in
                zip(rhs, oracle.table_of(cof).values, oracle.table_of(gen).values)]
     assert list(lhs) == rhs
+
+
+# -- non-members decided by the oracle, against the always-search body --------
+
+
+def _always_search_radical(spec, d_max, caps, direct_r_max):
+    """radical_membership with both searches run whatever the oracle says."""
+    member = vanishes_on_variety(spec, caps)
+    cert = find_certificate(spec, d_max, r_max=direct_r_max, caps=caps)
+    route = "direct"
+    if cert is None:
+        n = spec.query.n
+        extended = [extend_variables(g, n + 1) for g in spec.generators]
+        y = MultiPoly.variable(spec.query.ctx, n + 1, n + 1)
+        extended.append(
+            MultiPoly.constant(spec.query.ctx, n + 1, 1) - y * extend_variables(spec.query, n + 1)
+        )
+        cert = weak_certificate(extended, d_max, caps)
+        route = "rabinowitsch" if cert is not None else "oracle-only"
+    agrees = cert is None or member
+    return RadicalReport(member=member, certificate=cert, oracle_agrees=agrees, route=route)
+
+
+def _outcome(decide, *args):
+    try:
+        return decide(*args)
+    except PolystructError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def radical_cases(draw):
+    """A certificate case's spec (members and non-members) with d_max in
+    -1..3, direct_r_max in 0..2, and unknowns and enumeration caps that pass
+    or stop the n- or the (n + 1)-variable charge or the enumeration."""
+    spec = draw(certificate_cases())[0]
+    caps = Caps(
+        unknowns_cap=draw(st.sampled_from([Caps.unknowns_cap, Caps.unknowns_cap, 40, 12, 8, 3])),
+        enum_cap=draw(st.sampled_from([Caps.enum_cap, Caps.enum_cap, 25, 9, 4])),
+    )
+    d_max = draw(st.sampled_from([3, 2, 2, 1, 0, -1]))
+    return spec, d_max, caps, draw(st.sampled_from([2, 2, 1, 0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radical_cases())
+@example((_spec("x1", "x2", 3, 2), 2, Caps(unknowns_cap=8), 2))  # 6 unknowns pass, 10 do not
+@example((_spec("x1", "x2", 3, 2), -1, Caps(unknowns_cap=1), 2))  # InputError before the caps
+@example((_spec("x1", "x2", 3, 2), 2, Caps(enum_cap=8), 2))  # enum_cap first
+@example((_spec("0", "0", 3, 1), 1, Caps(), 2))  # the zero certificate, route direct
+def test_radical_membership_matches_the_always_search_body(case):
+    spec, d_max, caps, direct_r_max = case
+    with mock.patch.object(linalg, "solve", wraps=linalg.solve) as solve:
+        got = _outcome(radical_membership, spec, d_max, caps, direct_r_max)
+    assert got == _outcome(_always_search_radical, spec, d_max, caps, direct_r_max)
+    if not vanishes_on_variety(spec):  # a non-member: no solve, whatever is raised
+        assert solve.call_count == 0

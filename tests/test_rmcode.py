@@ -10,13 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from polystruct import oracle
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded, InputError, UnsupportedError
-from polystruct.factor import PolynomialFactor
 from polystruct.ffpoly import FieldCtx, MultiPoly, monomials_upto, parse_poly, points_lex
 from polystruct.rmcode import (
     CentersSpec,
     RMParams,
     SimplexFunction,
-    conditional_expectation,
     enumerate_codewords,
     fourier_reconstruct,
     johnson_bound,
@@ -27,7 +25,6 @@ from polystruct.rmcode import (
     simplex_fourier,
     weak_regularity,
 )
-from util import naive_value, random_poly
 
 
 def test_rm_params_validation():
@@ -179,7 +176,7 @@ def test_weak_regularity_hand_example():
 
 def test_weak_regularity_uniform_and_eps_one():
     family = [parse_poly("x1", 3, n=1)]
-    phi = SimplexFunction.uniform(3, 1)
+    phi = SimplexFunction(3, 1, np.full((3, 3), 1 / 3), "delta")  # uniform rows
     terms, residual = weak_regularity(phi, family, eps=0.5)
     assert terms == []
     assert np.abs(residual.values).max() < 1e-12
@@ -207,61 +204,6 @@ def test_weak_regularity_iteration_bound_and_stopping():
         for g in family:
             qg = SimplexFunction.embed(3, 2, table=g.eval_table()).centered()
             assert abs(residual.inner(qg)) <= eps + 1e-9
-
-
-def test_conditional_expectation_examples():
-    # measurable input is a fixed point
-    f = parse_poly("x1", 3, n=2)
-    phi = SimplexFunction.embed(3, 2, table=f.eval_table())
-    factor = PolynomialFactor([f])
-    out = conditional_expectation(phi, factor)
-    assert np.abs(out.values - phi.values).max() < 1e-12
-
-    # x2 is uniform on every x1-atom
-    phi2 = SimplexFunction.embed(3, 2, table=parse_poly("x2", 3, n=2).eval_table())
-    out2 = conditional_expectation(phi2, factor)
-    assert np.allclose(out2.values, 1 / 3)
-
-    # single-point atoms give the identity
-    full = PolynomialFactor([parse_poly("x1", 3, n=2), parse_poly("x2", 3, n=2)])
-    out3 = conditional_expectation(phi2, full)
-    assert np.abs(out3.values - phi2.values).max() < 1e-12
-
-
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 0)])
-def test_conditional_expectation_matches_a_per_point_loop(p, n):
-    # each atom's mean over its points in ascending order: equal to the last bit
-    rng = np.random.default_rng(p * 10 + n)
-    ctx = FieldCtx(p)
-    for c in (0, 1, 2, 3):
-        polys = [random_poly(rng, ctx, n, 2) for _ in range(c)]
-        raw = rng.random((p ** n, p))
-        phi = SimplexFunction(p, n, raw / raw.sum(axis=1, keepdims=True), "delta")
-        groups = {}
-        for i, x in enumerate(points_lex(p, n)):
-            groups.setdefault(tuple(naive_value(g, x) for g in polys), []).append(i)
-        want = np.empty_like(phi.values)
-        for rows in groups.values():
-            want[rows] = phi.values[rows].mean(axis=0)
-        got = conditional_expectation(phi, PolynomialFactor(polys))
-        assert np.array_equal(got.values, want) and got.space == "delta"
-
-
-def test_conditional_expectation_is_projection():
-    rng = np.random.default_rng(15)
-    factor = PolynomialFactor([parse_poly("x1+x2", 3)])
-    raw = rng.random((9, 3))
-    raw /= raw.sum(axis=1, keepdims=True)
-    phi = SimplexFunction(3, 2, raw, "delta")
-    once = conditional_expectation(phi, factor)
-    twice = conditional_expectation(once, factor)
-    assert np.abs(once.values - twice.values).max() < 1e-12
-    # inner products against measurable tests are preserved
-    for g_text in ["x1+x2", "2*x1+2*x2", "x1+x2+1"]:
-        xi = SimplexFunction.embed(
-            3, 2, table=parse_poly(g_text, 3).eval_table()
-        )
-        assert xi.inner(phi) == pytest.approx(xi.inner(once), abs=1e-12)
 
 
 def test_list_size_profile_linear_code():
