@@ -6,6 +6,8 @@ Pivoting is deterministic: within each column the pivot is the first
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row-echelon form; returns (matrix, pivot column indices)."""
@@ -35,6 +37,26 @@ def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
 
 def rank(rows: list[list[int]], p: int) -> int:
     return len(rref(rows, p)[1])
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """rank(matrix, p) of every matrix in a (B, rows, cols) stack of ints in [0, p), by
+    one elimination over the stack, inverses from a length-p table (int64: p < 2^31).
+    Rows above the rank so far are never read again, so the pivot row is not stored."""
+    a = np.array(stack, dtype=np.int64)
+    inverse = np.array([0, *(pow(v, p - 2, p) for v in range(1, p))], dtype=np.int64)
+    rank, lines = np.zeros(len(a), dtype=np.int64), np.arange(a.shape[1])
+    for c in range(a.shape[2]):
+        free = (a[:, :, c] != 0) & (lines >= rank[:, None])
+        has = np.flatnonzero(free.any(axis=1))
+        if len(has):
+            sub, top, at, row = a[has], rank[has], np.arange(len(has)), free[has].argmax(axis=1)
+            pivot = sub[at, row] * inverse[sub[at, row, c]][:, None] % p
+            sub[at, row] = sub[at, top]
+            factors = np.where(lines > top[:, None], sub[:, :, c], 0)
+            a[has] = (sub - factors[:, :, None] * pivot[:, None, :]) % p
+            rank[has] += 1
+    return rank
 
 
 def solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:

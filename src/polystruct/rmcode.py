@@ -4,7 +4,8 @@ embeddings, greedy weak regularity).
 
 A code is one read-only pair of small-int arrays, its coefficient grid and
 its codebook of value tables; list decoding, profiles and the minimum
-distance are row-wise Hamming distances, and only list members become MultiPolys.
+distance are row-wise Hamming distances.  Only the members returned by
+list_decode_brute become MultiPolys: the rank graph works on grid rows.
 
 Functions F_p^n -> F_p are embedded into the probability simplex row by
 row: p(g) places a single 1 per row, q(g) = p(g) - 1/p centers it.  Inner
@@ -20,11 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, PreconditionError, UnsupportedError
-from .ffpoly import FieldCtx, MultiPoly, monomials_upto, points_lex
+from .ffpoly import FieldCtx, MultiPoly, count_monomials_upto, monomials_upto, points_lex
 
 FLOAT_TOL = 1e-9
+_PROFILE_BLOCK = 2**20  # distances (centers x codewords) scored at once by a profile
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class RMParams:
         return FieldCtx(self.p)
 
     def codeword_count(self) -> int:
-        return self.p ** len(monomials_upto(self.n, self.d, self.p))
+        return self.p ** count_monomials_upto(self.n, self.d, self.p, math.inf)
 
     def min_distance_formula(self) -> Fraction:
         return Fraction(self.p - self.d, self.p)
@@ -77,14 +80,24 @@ def _codewords(params: RMParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
-    """The cached read-only (grid, book) pair; every codeword is charged to codeword_cap."""
-    caps.require("codeword_cap", params.codeword_count())
+    """The cached read-only (grid, book) pair; every codeword is charged to codeword_cap.
+    The monomials are counted, not built, and the count stops past max(256, log2 cap):
+    p to that power exceeds the cap, and require_power reports it without building it."""
+    p, limit = params.p, max(256, caps.codeword_cap.bit_length())
+    caps.require_power("codeword_cap", p, count_monomials_upto(params.n, params.d, p, limit))
     return _codewords(params)
 
 
 def _distances(book: np.ndarray, target) -> np.ndarray:
-    """Hamming distance from every codeword to the target table, entries in [0, p)."""
-    return np.count_nonzero(book != np.asarray(target, dtype=book.dtype), axis=1)
+    """Hamming distances from every codeword to one target table, (N,), or to each row
+    of a (B, p^n) block, (B, N), summed point by point over a point-major book copy."""
+    target = np.asarray(target, dtype=book.dtype)
+    if target.ndim < 2:
+        return np.count_nonzero(book != target, axis=1)
+    dist = np.zeros((len(target), len(book)), dtype=np.min_scalar_type(book.shape[1]))
+    for column, values in zip(np.ascontiguousarray(book.T), target.T):
+        dist += column != values[:, None]
+    return dist
 
 
 def min_distance_empirical(params: RMParams, caps: Caps = DEFAULT_CAPS) -> Fraction:
@@ -108,11 +121,9 @@ class ListResult:
         return [f for f, _ in self.entries]
 
 
-def list_decode_brute(
-    params: RMParams, center, radius, caps: Caps = DEFAULT_CAPS
-) -> ListResult:
-    """Exhaustive scan of every codeword against the center; a MultiPoly is
-    built only for each codeword in the list."""
+def _list_hits(params: RMParams, center, radius, caps: Caps):
+    """(grid, dist, hits): the grid, each codeword's distance to the center (table or
+    MultiPoly), and the rows within the radius by distance, ties in grid order."""
     size = params.p ** params.n
     if isinstance(center, MultiPoly):
         center = center.eval_table()
@@ -122,7 +133,16 @@ def list_decode_brute(
     grid, book = enumerate_codewords(params, caps)
     dist = _distances(book, target)
     hits = np.flatnonzero(dist / size <= float(radius) + 1e-12)
-    hits = hits[np.argsort(dist[hits], kind="stable")]
+    return grid, dist, hits[np.argsort(dist[hits], kind="stable")]
+
+
+def list_decode_brute(
+    params: RMParams, center, radius, caps: Caps = DEFAULT_CAPS
+) -> ListResult:
+    """Exhaustive scan of every codeword against the center; a MultiPoly is
+    built only for each codeword in the list."""
+    size = params.p ** params.n
+    grid, dist, hits = _list_hits(params, center, radius, caps)
     mons = monomials_upto(params.n, params.d, params.p)
     return ListResult(
         radius=float(radius),
@@ -336,47 +356,40 @@ def list_size_profile(
     _, book = enumerate_codewords(params, caps)
     size = p ** n
     rng = np.random.default_rng(seed)
-    center_list = [
-        ("random", i, rng.integers(0, p, size=size)) for i in range(centers.random_count)
-    ]
+    kinds = [("random", i) for i in range(centers.random_count)]
+    targets = [rng.integers(0, p, size=size) for _ in kinds]
     for i in range(centers.noisy_count):
         base = book[int(rng.integers(0, len(book)))].tolist()
-        noisy = [
+        kinds.append(("noisy", i))
+        targets.append([
             int(rng.integers(0, p)) if rng.random() < centers.noise_rate else v
             for v in base
-        ]
-        center_list.append(("noisy", i, noisy))
+        ])
+    targets = np.array(targets, dtype=book.dtype).reshape(-1, size)
     if centers.all_codewords:
-        center_list.extend(("codeword", i, row) for i, row in enumerate(book))
+        kinds.extend(("codeword", i) for i in range(len(book)))
+        targets = np.concatenate([targets, book])
 
     radii = [(e, 1.0 - e / p - p ** float(-s)) for e in range(1, d + 1)]
-    limits = [(rho + 1e-12) * size for _, rho in radii]
-    # counts[k][j]: codewords within radius j of center k, one distance scan per center
-    counts = []
-    for _, _, target in center_list:
-        dist = _distances(book, target)
-        counts.append([int(np.count_nonzero(dist <= limit)) for limit in limits])
-    rows = []
-    max_by_radius: dict[float, int] = {}
-    for j, (_, rho) in enumerate(radii):
-        for (kind, idx, _), row in zip(center_list, counts):
-            rows.append(ProfileRow(rho, kind, idx, row[j]))
-            max_by_radius[rho] = max(max_by_radius.get(rho, 0), row[j])
+    # distances are integers, so "<= (rho + slack) * p^n" is "<=" its floor
+    limits = np.floor([(rho + 1e-12) * size for _, rho in radii]).astype(np.int64)
+    # counts[k, j]: codewords within radius j of center k, scored in blocks of centers
+    counts = np.zeros((len(targets), d), dtype=np.int64)
+    block = max(1, _PROFILE_BLOCK // len(book))
+    for i in range(0, len(targets), block):
+        dist = _distances(book, targets[i:i + block])
+        counts[i:i + block] = np.count_nonzero(dist[:, None, :] <= limits[:, None], axis=2)
+    by_radius = [(rho, sizes) for (_, rho), sizes in zip(radii, counts.T.tolist())]
+    rows = tuple(ProfileRow(rho, kind, idx, count)
+                 for rho, sizes in by_radius for (kind, idx), count in zip(kinds, sizes))
+    max_by_radius = {rho: max(sizes) for rho, sizes in by_radius if sizes}
     consistent = None
     if bound_constant is not None:
         consistent = all(
             max_by_radius[rho] <= p ** (bound_constant * n ** (d - e))
             for e, rho in radii
         )
-    return ListSizeProfile(
-        params=params,
-        s=s,
-        seed=seed,
-        rows=tuple(rows),
-        max_by_radius=max_by_radius,
-        bound_constant=bound_constant,
-        consistent_with_bound=consistent,
-    )
+    return ListSizeProfile(params, s, seed, rows, max_by_radius, bound_constant, consistent)
 
 
 @dataclass(frozen=True)
@@ -396,30 +409,31 @@ def rank_graph_reduction(
     Edges join list members whose difference has quadratic rank <= k; the
     list size is covered by |independent set| times the maximal number of
     rank-close neighbours, the two factors of the subcode reduction.
+    Closeness is symmetric: the greedy set takes the smallest uncovered member, whose
+    one batched row covers and counts its neighbours: ceil(r/2) for the rank r of the
+    Hessian difference, or at r = 0 rank 0 if the linear parts agree, else inf.
     """
-    from .decompose import quadratic_rank
-
     if params.d != 2:
         raise UnsupportedError("rank-threshold graphs need d = 2")
-    result = list_decode_brute(params, center, radius, caps)
-    members = result.polys()
-    m = len(members)
-
-    def close(i: int, j: int) -> bool:
-        return quadratic_rank(members[i] - members[j]) <= k
-
-    independent: list[int] = []
+    grid, _, hits = _list_hits(params, center, radius, caps)
+    p, n, m = params.p, params.n, len(hits)
+    coeffs = grid[hits].astype(np.int64)
+    mons = np.array(monomials_upto(n, 2, p)).reshape(-1, n)
+    degree = mons.sum(axis=1)
+    quad = mons[degree == 2]
+    # c x^e has Hessian c(e e^T - diag e), twice its symmetric matrix: same rank, p odd
+    shapes = quad[:, :, None] * (quad[:, None, :] - np.eye(n, dtype=np.int64))
+    hessian = np.einsum("mq,qij->mij", coeffs[:, degree == 2], shapes) % p
+    linear = coeffs[:, degree == 1]
+    covered, independent, max_close = np.zeros(m, dtype=bool), [], 0
     for i in range(m):
-        if all(not close(i, j) for j in independent):
-            independent.append(i)
-    max_close = 0
-    for i in independent:
-        max_close = max(max_close, sum(1 for j in range(m) if close(i, j)))
+        if covered[i]:
+            continue
+        r = linalg.ranks((hessian - hessian[i]) % p, p)
+        order1 = np.where((linear == linear[i]).all(axis=1), 0, math.inf)
+        close = np.where(r > 0, (r + 1) // 2, order1) <= k
+        covered |= close
+        independent.append(i)
+        max_close = max(max_close, int(close.sum()))
     holds = m <= len(independent) * max_close if m else True
-    return RankGraphReport(
-        list_size=m,
-        independent_set_size=len(independent),
-        max_close_count=max_close,
-        independent_indices=tuple(independent),
-        cover_bound_holds=holds,
-    )
+    return RankGraphReport(m, len(independent), max_close, tuple(independent), holds)

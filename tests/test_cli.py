@@ -176,6 +176,16 @@ def test_huge_certificate_degrees_fail_fast_on_the_unknowns_cap(argv, capsys):
     assert "unknowns_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["800", "1600"])
+def test_huge_codes_fail_fast_on_the_codeword_cap(n, capsys):
+    # the monomials are counted against the cap before any is built
+    start = time.perf_counter()
+    code, _ = run(["rm", "mindist", "--p", "2", "--n", n, "--d", "1"])
+    assert code == EXIT_CAP
+    assert time.perf_counter() - start < 0.5
+    assert "codeword_cap: 2^257+ exceeds" in capsys.readouterr().err
+
+
 P61 = str(2**61 - 1)
 P64 = str(2**64 + 13)  # a prime above the int64 range
 

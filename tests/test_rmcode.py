@@ -2,13 +2,15 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polystruct import oracle
+from polystruct import linalg, oracle, rmcode
 from polystruct.config import Caps
+from polystruct.decompose import quadratic_rank
 from polystruct.errors import CapExceeded, InputError, UnsupportedError
 from polystruct.ffpoly import FieldCtx, MultiPoly, monomials_upto, parse_poly, points_lex
 from polystruct.rmcode import (
@@ -379,3 +381,164 @@ def test_list_size_profile_matches_a_naive_loop(p, n, d, s):
     assert rows == _naive_profile(params, s, centers, seed=7)
     for rho, size in prof.max_by_radius.items():
         assert size == max(count for r, _, _, count in rows if r == rho)
+
+
+def _per_center_profile(params, s, centers, seed):
+    """(rows, max_by_radius) of list_size_profile with one distance scan and one
+    count per radius for each center: the reference for the blocked scoring."""
+    p, n, d = params.p, params.n, params.d
+    _, book = enumerate_codewords(params)
+    size = p ** n
+    rng = np.random.default_rng(seed)
+    center_list = [
+        ("random", i, rng.integers(0, p, size=size)) for i in range(centers.random_count)
+    ]
+    for i in range(centers.noisy_count):
+        base = book[int(rng.integers(0, len(book)))].tolist()
+        noisy = [
+            int(rng.integers(0, p)) if rng.random() < centers.noise_rate else v
+            for v in base
+        ]
+        center_list.append(("noisy", i, noisy))
+    if centers.all_codewords:
+        center_list.extend(("codeword", i, row) for i, row in enumerate(book))
+    radii = [(e, 1.0 - e / p - p ** float(-s)) for e in range(1, d + 1)]
+    limits = [(rho + 1e-12) * size for _, rho in radii]
+    counts = []
+    for _, _, target in center_list:
+        dist = np.count_nonzero(book != np.asarray(target, dtype=book.dtype), axis=1)
+        counts.append([int(np.count_nonzero(dist <= limit)) for limit in limits])
+    rows = []
+    max_by_radius = {}
+    for j, (_, rho) in enumerate(radii):
+        for (kind, idx, _), row in zip(center_list, counts):
+            rows.append((rho, kind, idx, row[j]))
+            max_by_radius[rho] = max(max_by_radius.get(rho, 0), row[j])
+    return rows, max_by_radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    code=st.sampled_from([(2, 3, 1), (3, 2, 1), (3, 1, 2), (5, 1, 2), (5, 2, 1), (3, 2, 2)]),
+    s=st.integers(1, 3),
+    random_count=st.integers(0, 9),
+    noisy_count=st.integers(0, 9),
+    all_codewords=st.booleans(),
+    block=st.sampled_from([1, 100, 2**20]),
+    seed=st.integers(0, 2**16),
+)
+@example(code=(3, 1, 2), s=1, random_count=0, noisy_count=0, all_codewords=False,
+         block=2**20, seed=0)
+def test_blocked_profile_matches_the_per_center_loop(
+    code, s, random_count, noisy_count, all_codewords, block, seed
+):
+    # block bounds centers x codewords per distance block; 1 and 100 force many blocks
+    params = RMParams(*code)
+    centers = CentersSpec(random_count, noisy_count, 0.3, all_codewords)
+    with mock.patch.object(rmcode, "_PROFILE_BLOCK", block):
+        prof = list_size_profile(params, s=s, centers=centers, seed=seed)
+    rows = [(r.radius, r.center_kind, r.center_index, r.list_size) for r in prof.rows]
+    assert (rows, prof.max_by_radius) == _per_center_profile(params, s, centers, seed)
+    assert all(type(r.list_size) is int for r in prof.rows)
+
+
+@st.composite
+def rank_stacks(draw):
+    """(p, stack): 0, 1 or many random, zero, full-rank and low-rank matrices."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def matrix(r, c, low=0):
+        values = draw(st.lists(st.integers(low, p - 1), min_size=r * c, max_size=r * c))
+        return np.array(values, dtype=np.int64).reshape(r, c)
+
+    mats = []
+    for _ in range(draw(st.sampled_from((0, 1, draw(st.integers(2, 12)))))):
+        kind = draw(st.sampled_from(("random", "zero", "full", "low")))
+        if kind == "zero":
+            mats.append(np.zeros((rows, cols), dtype=np.int64))
+        elif kind == "full" and rows == cols:  # unit lower times invertible upper
+            lower = np.tril(matrix(rows, rows), -1) + np.eye(rows, dtype=np.int64)
+            upper = np.triu(matrix(rows, rows), 1) + np.diag(matrix(1, rows, low=1)[0])
+            mats.append(lower @ upper % p)
+        elif kind == "low":  # through at most 3 inner dimensions
+            inner = draw(st.integers(0, 3))
+            mats.append(matrix(rows, inner) @ matrix(inner, cols) % p)
+        else:
+            mats.append(matrix(rows, cols))
+    return p, np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rank_stacks())
+def test_batched_ranks_match_linalg_rank(case):
+    p, stack = case
+    got = linalg.ranks(stack, p)
+    assert got.shape == (len(stack),)
+    assert got.tolist() == [linalg.rank(mat.tolist(), p) for mat in stack]
+
+
+def _pairwise_rank_graph(params, center, radius, k):
+    """rank_graph_reduction as the greedy pairwise loop over the MultiPoly list,
+    with quadratic_rank of the difference for every compared pair."""
+    members = list_decode_brute(params, center, radius).polys()
+    m = len(members)
+
+    def close(i, j):
+        return quadratic_rank(members[i] - members[j]) <= k
+
+    independent = []
+    for i in range(m):
+        if all(not close(i, j) for j in independent):
+            independent.append(i)
+    max_close = 0
+    for i in independent:
+        max_close = max(max_close, sum(1 for j in range(m) if close(i, j)))
+    holds = m <= len(independent) * max_close if m else True
+    return (m, len(independent), max_close, tuple(independent), holds)
+
+
+@st.composite
+def rank_graph_cases(draw):
+    params = RMParams(*draw(st.sampled_from([(3, 1, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2),
+                                             (5, 2, 2), (3, 3, 2)])))
+    p, n = params.p, params.n
+    size = p ** n
+    mons = monomials_upto(n, 2, p)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+    word = MultiPoly(params.ctx, n, dict(zip(mons, coeffs)))
+    kind = draw(st.sampled_from(("random", "codeword", "noisy", "poly")))
+    if kind == "random":
+        center = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    elif kind == "poly":
+        center = word
+    else:
+        center = word.eval_table().tolist()
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=3 if kind == "noisy" else 0)):
+            center[i] = draw(st.integers(0, p - 1))
+    # a radius that keeps the list at most 40 members, or -1 for an empty list
+    _, book = enumerate_codewords(params)
+    table = center.eval_table() if isinstance(center, MultiPoly) else np.array(center)
+    dist = np.sort(np.count_nonzero(book != table, axis=1))
+    last = draw(st.integers(-1, min(39, len(dist) - 1)))
+    radius = -1.0 if last < 0 else int(dist[last]) / size
+    return params, center, radius, draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_graph_cases())
+# the whole of RM(3,1,2): members differing by a constant or only linearly
+@example((RMParams(3, 1, 2), [0, 0, 0], 1.0, 0))
+@example((RMParams(3, 1, 2), [0, 0, 0], 1.0, 1))
+# one member, and an empty list
+@example((RMParams(5, 1, 2), [0] * 5, 0.0, 1))
+@example((RMParams(5, 1, 2), [0, 1, 3, 0, 4], 0.0, 2))
+# a MultiPoly center: the translates of a rank-1 pencil
+@example((RMParams(5, 2, 2), parse_poly("x1*x2", 5), 1 / 5, 1))
+def test_rank_graph_matches_the_pairwise_loop(case):
+    params, center, radius, k = case
+    rep = rank_graph_reduction(params, center, radius, k)
+    got = (rep.list_size, rep.independent_set_size, rep.max_close_count,
+           rep.independent_indices, rep.cover_bound_holds)
+    assert got == _pairwise_rank_graph(params, center, radius, k)
+    assert all(type(i) is int for i in rep.independent_indices)
