@@ -161,7 +161,7 @@ def _cmd_decompose(args, run: RunConfig) -> dict:
         dec = decompose_mod.exact_decompose(f, args.s, config)
     return {
         "polys": [poly_to_str(g) for g in dec.polys],
-        "directions": [list(h) for h in dec.directions] if dec.directions else None,
+        "directions": [list(h) for h in dec.directions] if dec.directions is not None else None,
         "gamma": _gamma_payload(dec.gamma, run.caps),
         "claimed_error": dec.claimed_error,
         "exact": dec.exact,

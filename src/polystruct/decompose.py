@@ -1,8 +1,9 @@
 """From bias to explicit low-rank structure.
 
 approx_decompose realizes the sampled-derivative approximation: draw k
-auxiliary points z, emit the derivatives of f along the small-weight
-combinations b.z, and fit the outer lookup table empirically (the most
+auxiliary points z, emit one derivative of f per distinct nonzero direction
+among the small-weight combinations b.z (a zero or repeated direction adds
+nothing), and fit the outer lookup table empirically (the most
 consistent value per observed derivative tuple, ties to the smallest
 lift).  The existential choice of z becomes a seeded retry loop with an
 explicit error target of 2*p^-t.
@@ -92,34 +93,32 @@ def approx_decompose(
 ) -> Decomposition:
     """Approximate f by a lookup table over derivatives of f.
 
-    Retries with fresh auxiliary points until the measured disagreement
-    probability is at most 2*p^-t; raises DecompositionFailed (carrying the
-    best attempt) if no retry meets the target.
+    polys holds D_h f once per distinct nonzero h = b.z (b of weight <= deg f),
+    in the graded order of its first b.  Retries with fresh auxiliary points
+    until the measured disagreement probability is at most 2*p^-t; raises
+    DecompositionFailed (carrying the best attempt) if no retry meets it.
     """
     _check_bias(f, s, caps, trust_bias)
     p, n, d = f.p, f.n, f.degree()
     k = k_override if k_override is not None else t + 2 * s + 3
-    nonzero = tuple(b for b in monomials_upto(k, d, p) if any(b))
+    basis = monomials_upto(k, d, p)
     target = 2.0 * p ** (-t)
 
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
         rng = np.random.default_rng([seed, attempt])
         z = tuple(tuple(int(v) for v in row) for row in sample_points(rng, p, n, k))
-        dirs = [
-            tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
-            for b in nonzero
-        ]
-        derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct direction
-        for h in dirs:
-            if h not in derivatives:
+        derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct nonzero direction
+        for b in basis:
+            h = tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
+            if any(h) and h not in derivatives:
                 derivatives[h] = functional_reduce(derivative(f, [h]))
-        polys = [derivatives[h] for h in dirs]
+        polys = list(derivatives.values())
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(
             polys=polys,
             gamma=table,
-            directions=dirs,
+            directions=list(derivatives),
             claimed_error=err,
             exact=False,
             k=k,

@@ -2,9 +2,10 @@
 
 Regularity is certified by a bias threshold: a factor is regular at level s
 when every nonzero linear combination of its polynomials has |bias| below
-p^-s.  The regularization loop repeatedly finds a combination at or above
-the threshold, decomposes it into lower-degree polynomials, and replaces
-the highest-degree participant, so the degree multiset strictly decreases.
+p^-s.  Each round of the regularization loop first drops constants and
+affinely dependent polynomials, then finds a combination at or above the
+threshold, decomposes it into lower-degree polynomials, and replaces the
+highest-degree participant, so the degree multiset strictly decreases.
 """
 
 from __future__ import annotations
@@ -165,19 +166,18 @@ def find_biased_combination(
     return None
 
 
-def _dependency_reduce(
-    polys: list[MultiPoly], pinned: int
-) -> tuple[list[MultiPoly], bool]:
+def _dependency_reduce(polys: list[MultiPoly], pinned: int) -> list[MultiPoly]:
     """Drop constants and polynomials affinely dependent on earlier kept ones.
 
-    Fast path for factors too large to scan: an affine dependency is exactly
-    a bias-1 combination, and the dropped polynomial stays determined by the
-    survivors, so semantic refinement is preserved.  The kept polynomials are
-    the pivot columns of the (nonconstant monomials x polys) coefficient
-    matrix: each is independent of the columns before it.
+    Runs before every scan of the regularization loop.  An affine dependency
+    is exactly a bias-1 combination, and a dropped polynomial stays
+    determined by the survivors, so semantic refinement is preserved.  The
+    kept polynomials are the pivot columns of the (nonconstant monomials x
+    polys) coefficient matrix: each is independent of the columns before it,
+    so no nonzero combination of the result is a constant polynomial.
     """
     if not polys:
-        return polys, False
+        return polys
     zero_mon = (0,) * polys[0].n
     monomials = sorted({e for g in polys for e in g.terms if e != zero_mon})
     _, pivots = linalg.rref([[g.terms.get(e, 0) for g in polys] for e in monomials], polys[0].p)
@@ -189,7 +189,7 @@ def _dependency_reduce(
                 "pinned polynomial depends on earlier pinned ones",
                 partial=PolynomialFactor(polys, 0, pinned),
             )
-    return [polys[i] for i in pivots], len(pivots) < len(polys)
+    return [polys[i] for i in pivots]
 
 
 def _replacement_index(coeffs, polys, pinned: int) -> int:
@@ -209,9 +209,11 @@ def regularize(
 ) -> PolynomialFactor:
     """Refine the factor until no combination reaches bias p^-s.
 
-    Each found combination is decomposed exactly into lower-degree
-    polynomials which replace the chosen participant; pinned-prefix
-    polynomials are never replaced.
+    Every iteration first drops constants and affine dependencies, and
+    raises CapExceeded if p^c still exceeds the search cap.  Each found
+    combination is decomposed exactly into lower-degree polynomials which
+    replace the chosen participant; pinned-prefix polynomials are never
+    replaced.
     """
     from . import decompose as decompose_mod
 
@@ -220,36 +222,30 @@ def regularize(
     work = list(factor.polys)
     pinned = factor.pinned_prefix
     for iteration in range(_MAX_ITERATIONS):
+        work = _dependency_reduce(work, pinned)
         if not work:
             return PolynomialFactor(work, regularity_s=s, pinned_prefix=pinned)
         p = work[0].p
         if p ** len(work) > caps.search_cap:
-            work, changed = _dependency_reduce(work, pinned)
-            if not changed:
-                raise CapExceeded(
-                    f"p^c = {p ** len(work)} exceeds search cap and the factor "
-                    "has no affine dependencies left to eliminate"
-                )
-            continue
+            raise CapExceeded(
+                f"p^c = {p ** len(work)} exceeds search cap and the factor "
+                "has no affine dependencies left to eliminate"
+            )
         found = find_biased_combination(PolynomialFactor(work, 0, pinned), s, caps)
         if found is None:
             return PolynomialFactor(work, regularity_s=s, pinned_prefix=pinned)
         coeffs, cs = found
         target = _replacement_index(coeffs, work, pinned)
         h = combine(PolynomialFactor(work, 0, pinned), coeffs)
-        if h.is_constant():
-            replacement: list[MultiPoly] = []
-        else:
-            s_h = decompose_mod._bias_exponent(cs.magnitude, p)
-            sub_config = replace(
-                config.decompose,
-                seed=int(np.random.default_rng(
-                    [config.decompose.seed, 11, iteration]
-                ).integers(1 << 62)),
-            )
-            sub = decompose_mod.exact_decompose(h, s_h, sub_config)
-            replacement = list(sub.polys)
-        work = work[:target] + replacement + work[target + 1:]
+        s_h = decompose_mod._bias_exponent(cs.magnitude, p)
+        sub_config = replace(
+            config.decompose,
+            seed=int(np.random.default_rng(
+                [config.decompose.seed, 11, iteration]
+            ).integers(1 << 62)),
+        )
+        sub = decompose_mod.exact_decompose(h, s_h, sub_config)
+        work = work[:target] + list(sub.polys) + work[target + 1:]
     raise PartialResultError(
         f"regularization budget of {_MAX_ITERATIONS} iterations exceeded",
         partial=PolynomialFactor(work, regularity_s=0, pinned_prefix=pinned),

@@ -386,7 +386,7 @@ def list_size_profile(
     consistent = None
     if bound_constant is not None:
         consistent = all(
-            max_by_radius[rho] <= p ** (bound_constant * n ** (d - e))
+            max_by_radius.get(rho, 0) <= p ** (bound_constant * n ** (d - e))
             for e, rho in radii
         )
     return ListSizeProfile(params, s, seed, rows, max_by_radius, bound_constant, consistent)

@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polystruct.bias import exact_bias
+from polystruct.config import Caps, DEFAULT_CAPS
 from polystruct.decompose import (
     INFINITE_RANK,
     Decomposition,
+    _bias_exponent,
+    _check_bias,
+    _fit_table,
     approx_decompose,
     decomposition_error,
     exact_decompose,
     quadratic_rank,
 )
-from polystruct.errors import PreconditionError, UnsupportedError
+from polystruct.errors import DecompositionFailed, PreconditionError, UnsupportedError
 from polystruct.ffpoly import (
     FieldCtx,
     LookupTable,
@@ -24,6 +29,7 @@ from polystruct.ffpoly import (
     monomials_upto,
     parse_poly,
     points_lex,
+    sample_points,
 )
 from util import random_poly
 
@@ -61,7 +67,9 @@ def test_approx_decompose_takes_derivatives_of_the_reduced_polynomial():
     # coefficient vectors b is still the unreduced 7
     f = parse_poly("x1^4*x2^3", 3)
     dec = approx_decompose(f, s=1, t=2, seed=0)
-    assert len(dec.directions) == len(monomials_upto(dec.k, 7, 3)) - 1
+    # 1,289 nonzero vectors b, but F_3^2 has only 8 nonzero directions
+    assert len(monomials_upto(dec.k, 7, 3)) - 1 == 1289
+    assert sorted(dec.directions) == [h for h in points_lex(3, 2) if any(h)]
     for g, h in zip(dec.polys, dec.directions):
         assert g == functional_reduce(derivative(f, [h]))
 
@@ -183,3 +191,93 @@ def test_decomposition_degrees_strictly_below_source():
             continue
         dec = approx_decompose(f, s=2, t=1, seed=int(rng.integers(1000)))
         assert all(g.degree() < f.degree() for g in dec.polys)
+
+
+# -- the derivative family against the one that emitted every b --------------
+
+
+def _every_b_approx_decompose(f, s, t, seed=0, retries=16, caps=DEFAULT_CAPS,
+                              trust_bias=False, k_override=None, error_samples=4096):
+    """approx_decompose as it was when it emitted one derivative per nonzero b,
+    zero and repeated directions included."""
+    _check_bias(f, s, caps, trust_bias)
+    p, n, d = f.p, f.n, f.degree()
+    k = k_override if k_override is not None else t + 2 * s + 3
+    nonzero = tuple(b for b in monomials_upto(k, d, p) if any(b))
+    target = 2.0 * p ** (-t)
+
+    best = None
+    for attempt in range(max(1, retries)):
+        rng = np.random.default_rng([seed, attempt])
+        z = tuple(tuple(int(v) for v in row) for row in sample_points(rng, p, n, k))
+        dirs = [
+            tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
+            for b in nonzero
+        ]
+        derivatives = {}
+        for h in dirs:
+            if h not in derivatives:
+                derivatives[h] = functional_reduce(derivative(f, [h]))
+        polys = [derivatives[h] for h in dirs]
+        table, err = _fit_table(f, polys, caps, error_samples, rng)
+        dec = Decomposition(polys, table, dirs, err, False, k, attempt + 1)
+        if best is None or err < best.claimed_error:
+            best = dec
+        if err <= target + 1e-12:
+            return dec
+    raise DecompositionFailed("no attempt reached the error target", best=best)
+
+
+def _attempt(f, s, **kwargs):
+    """(outcome, returned or best decomposition, or error text) of both implementations."""
+    out = []
+    for fn in (approx_decompose, _every_b_approx_decompose):
+        try:
+            out.append(("returned", fn(f, s, **kwargs)))
+        except DecompositionFailed as exc:
+            out.append(("failed", exc.best))
+        except PreconditionError as exc:
+            out.append(("precondition", str(exc)))
+    return out
+
+
+@st.composite
+def approx_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = [0] * n
+        for _ in range(draw(st.integers(0, 7))):
+            e[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(e)] = draw(st.integers(1, p - 1))
+    f = MultiPoly(FieldCtx(p), n, terms)
+    # sampled: the table is fitted on drawn points, so the RNG stream after z matters
+    kwargs = dict(t=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**16)),
+                  retries=draw(st.integers(1, 3)), k_override=draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        kwargs.update(caps=Caps(enum_cap=1), trust_bias=True, error_samples=200)
+    return f, kwargs
+
+
+@settings(max_examples=80, deadline=None)
+@given(approx_cases())
+@example((parse_poly("x1^4*x2^3", 3), dict(t=2, seed=0, k_override=None)))
+@example((parse_poly("x1*x2", 5), dict(t=2, seed=1, k_override=None)))
+@example((MultiPoly.constant(FieldCtx(3), 2, 1), dict(t=1, seed=0, k_override=2)))
+def test_approx_decompose_matches_the_every_b_family(case):
+    f, kwargs = case
+    s = _bias_exponent(max(exact_bias(f).magnitude, f.p ** -6), f.p)
+    (outcome, new), (want, old) = _attempt(f, s, **kwargs)
+    assert outcome == want
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert (new.attempts, new.claimed_error, new.k) == (old.attempts, old.claimed_error, old.k)
+    # the distinct nonzero directions in first-occurrence order, with their derivatives
+    firsts = [h for h in dict.fromkeys(old.directions) if any(h)]
+    assert new.directions == firsts
+    assert new.polys == [old.polys[old.directions.index(h)] for h in firsts]
+    for x in points_lex(f.p, f.n):
+        assert new.gamma(tuple(g.eval(x) for g in new.polys)) == \
+            old.gamma(tuple(g.eval(x) for g in old.polys))

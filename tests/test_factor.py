@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from polystruct import decompose as decompose_mod
 from polystruct import oracle
 from polystruct.bias import BIAS_TOL, exact_bias
-from polystruct.config import Caps
+from polystruct.config import Caps, DecomposeConfig, RegularizeConfig
 from polystruct.decompose import Decomposition, decomposition_error, quadratic_rank, INFINITE_RANK
 from polystruct.errors import CapExceeded, PartialResultError, PreconditionError
 from polystruct.factor import (
@@ -102,7 +102,7 @@ def test_regularize_respects_pinned_prefix():
 
 
 def test_regularize_handles_many_dependent_linears():
-    # above the scan cap the affine-dependency fast path must kick in
+    # 3^30 is far above the scan cap: the dependency reduction must bring it under
     ctx = FieldCtx(3)
     rng = np.random.default_rng(8)
     base = [parse_poly("x1", 3, n=3), parse_poly("x2", 3, n=3), parse_poly("x3", 3, n=3)]
@@ -441,7 +441,7 @@ def _greedy_span_reduce(polys, pinned):
         rows.append([x * inv % p for x in v])
         pivots.append(c)
         kept.append(g)
-    return kept, len(kept) < len(polys)
+    return kept
 
 
 def _outcome(reduce, polys, pinned):
@@ -497,7 +497,70 @@ def test_dependency_reduce_examples():
     with pytest.raises(PartialResultError,
                        match="^pinned polynomial depends on earlier pinned ones$"):
         _dependency_reduce(_polys("x1;2*x1 + 1;x2", 3, 2), 2)
-    assert _dependency_reduce(_polys("1;2;0", 3, 2), 0) == ([], True)
+    assert _dependency_reduce(_polys("1;2;0", 3, 2), 0) == []
     polys = _polys("x1;2*x1 + 1;x2;x1 + x2;x1*x2", 5, 2)
-    assert _dependency_reduce(polys, 1) == ([polys[0], polys[2], polys[4]], True)
-    assert _dependency_reduce(polys[:1], 1) == (polys[:1], False)
+    assert _dependency_reduce(polys, 1) == [polys[0], polys[2], polys[4]]
+    assert _dependency_reduce(polys[:1], 1) == polys[:1]
+
+
+# -- regularization against oracle tables ------------------------------------
+
+
+@st.composite
+def planted_factors(draw):
+    """(polys, search_cap, s): fresh polynomials of degree <= 1 or <= 2 with
+    planted duplicates, constants and affine combinations of earlier ones.
+    The cap p^j may sit below the input's p^c, below its independent part's,
+    or above both."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    ctx = FieldCtx(p)
+    mons = monomials_upto(n, draw(st.integers(1, 2)), p)
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "constant", "combination"]))
+        if kind == "fresh" or not polys:
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+            polys.append(MultiPoly(ctx, n, dict(zip(mons, coeffs))))
+        elif kind == "duplicate":
+            polys.append(draw(st.sampled_from(polys)))
+        elif kind == "constant":
+            polys.append(MultiPoly.constant(ctx, n, draw(st.integers(0, p - 1))))
+        else:
+            g = MultiPoly.constant(ctx, n, draw(st.integers(0, p - 1)))
+            for h in polys:
+                g = g + h * draw(st.integers(0, p - 1))
+            polys.append(g)
+    return polys, p ** draw(st.integers(0, len(polys) + 2)), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_factors())
+@example((_polys("x1;x1 + 1;x2", 3, 2), 9, 1))  # 3^3 over the cap, 3^2 independent
+@example((_polys("x1;x1 + 1;x2", 3, 2), 3, 1))  # the independent part is over the cap too
+@example((_polys("x1*x2;2*x1*x2 + 1;x1", 3, 2), 10**5, 1))
+@example((_polys("1;x1;2", 5, 1), 5, 1))
+def test_regularize_leaves_an_independent_regular_refinement(case):
+    polys, cap, s = case
+    p, caps = polys[0].p, Caps(search_cap=cap)
+    coarse = PolynomialFactor(polys)
+    independent = _greedy_span_reduce(polys, 0)
+    linear = all(g.degree() <= 1 for g in polys)
+    try:
+        out = regularize(coarse, s, RegularizeConfig(DecomposeConfig(caps=caps)))
+    except CapExceeded:
+        # the first reduction leaves the independent part; only a decomposed
+        # quadratic can grow the factor past the cap after that
+        assert p ** len(independent) > cap or not linear
+        return
+    assert p ** len(independent) <= cap
+    assert p ** out.c <= cap
+    # every atom of the result meets a single atom of the input, on oracle tables
+    size = p ** polys[0].n
+    seen = {}
+    for fine, atom in zip(_oracle_atoms(out, size), _oracle_atoms(coarse, size)):
+        assert seen.setdefault(fine, atom) == atom
+    assert find_biased_combination(out, s, caps) is None
+    assert _dependency_reduce(list(out.polys), 0) == list(out.polys)
+    if linear:  # a nonconstant affine combination has bias 0: nothing is decomposed
+        assert list(out.polys) == independent

@@ -232,6 +232,14 @@ def test_list_size_profile_linear_code():
     assert all(row.list_size >= 1 for row in prof2.rows)
 
 
+def test_list_size_profile_without_centers_holds_the_bound_vacuously():
+    empty = list_size_profile(
+        RMParams(3, 1, 1), s=1, centers=CentersSpec(random_count=0, noisy_count=0),
+        bound_constant=1.0,
+    )
+    assert (empty.rows, empty.max_by_radius, empty.consistent_with_bound) == ((), {}, True)
+
+
 def test_rank_graph_reduction_cases():
     params = RMParams(5, 2, 2)
     single = rank_graph_reduction(params, [0] * 25, 0, k=1)
