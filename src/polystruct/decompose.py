@@ -3,10 +3,12 @@
 approx_decompose realizes the sampled-derivative approximation: draw k
 auxiliary points z, emit one derivative of f per distinct nonzero direction
 among the small-weight combinations b.z (a zero or repeated direction adds
-nothing), and fit the outer lookup table empirically (the most
-consistent value per observed derivative tuple, ties to the smallest
-lift).  The existential choice of z becomes a seeded retry loop with an
-explicit error target of 2*p^-t.
+nothing), and fit the outer lookup table empirically (the most consistent
+value per observed derivative tuple, ties to the smallest lift).  The
+existential choice of z becomes a seeded retry loop with an explicit error
+target of 2*p^-t.  The derivatives are gathered from f's table where that
+is measured to be cheaper (see _GATHER_WORK), and expanded symbolically
+through shift elsewhere.
 
 exact_decompose chains that with factor regularization and a per-atom
 value table, and certifies exactness by exhaustive check at desk scale.
@@ -31,12 +33,16 @@ from .errors import (
     UnsupportedError,
 )
 from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, derivative, functional_reduce, monomials_upto,
-    sample_points,
+    LookupTable, MultiPoly, _value_rows, derivative, derivative_family, functional_reduce,
+    monomials_upto, sample_points,
 )
 
 INFINITE_RANK = float("inf")
 _PIPELINE_RETRIES = 4  # full pipeline reruns when measurability fails
+# Gathering and interpolating one derivative table costs n p^(n+1) steps.  Timed for n = 1-9,
+# p = 3-3001, deg f = 2-16, it beat the symbolic derivative wherever that was <= 2^12 steps
+# per term of f, and lost at some points past 2^13; 64 terms keep p x p matrices < 2 MB.
+_GATHER_WORK = 2**12
 
 
 @dataclass
@@ -101,24 +107,25 @@ def approx_decompose(
     _check_bias(f, s, caps, trust_bias)
     p, n, d = f.p, f.n, f.degree()
     k = k_override if k_override is not None else t + 2 * s + 3
-    basis = monomials_upto(k, d, p)
+    dtype = np.int64 if k * (p - 1) ** 2 < 2**63 else object  # basis @ z stays exact
+    basis = np.array(monomials_upto(k, d, p), dtype=dtype, ndmin=2)
+    gather = (n >= 1 and p ** n <= caps.enum_cap
+              and n * p ** (n + 1) <= _GATHER_WORK * min(len(f.terms), 64))
     target = 2.0 * p ** (-t)
 
     best: Decomposition | None = None
     for attempt in range(max(1, retries)):
         rng = np.random.default_rng([seed, attempt])
-        z = tuple(tuple(int(v) for v in row) for row in sample_points(rng, p, n, k))
-        derivatives: dict[tuple[int, ...], MultiPoly] = {}  # one per distinct nonzero direction
-        for b in basis:
-            h = tuple(sum(bj * zj[i] for bj, zj in zip(b, z)) % p for i in range(n))
-            if any(h) and h not in derivatives:
-                derivatives[h] = functional_reduce(derivative(f, [h]))
-        polys = list(derivatives.values())
+        z = sample_points(rng, p, n, k).astype(dtype)
+        # one derivative per distinct nonzero direction, at its first b in graded order
+        dirs = [h for h in dict.fromkeys(map(tuple, (basis @ z % p).tolist())) if any(h)]
+        polys = (derivative_family(f, dirs) if gather and dirs
+                 else [functional_reduce(derivative(f, [h])) for h in dirs])
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(
             polys=polys,
             gamma=table,
-            directions=list(derivatives),
+            directions=dirs,
             claimed_error=err,
             exact=False,
             k=k,

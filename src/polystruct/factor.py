@@ -20,7 +20,6 @@ from . import linalg
 from .bias import BIAS_TOL, CharacterSum, bias_from_counts
 from .config import Caps, DEFAULT_CAPS, RegularizeConfig
 from .errors import (
-    CapExceeded,
     InputError,
     PartialResultError,
     PreconditionError,
@@ -209,7 +208,7 @@ def regularize(
 ) -> PolynomialFactor:
     """Refine the factor until no combination reaches bias p^-s.
 
-    Every iteration first drops constants and affine dependencies, and
+    Every iteration first drops constants and affine dependencies; the scan
     raises CapExceeded if p^c still exceeds the search cap.  Each found
     combination is decomposed exactly into lower-degree polynomials which
     replace the chosen participant; pinned-prefix polynomials are never
@@ -225,19 +224,13 @@ def regularize(
         work = _dependency_reduce(work, pinned)
         if not work:
             return PolynomialFactor(work, regularity_s=s, pinned_prefix=pinned)
-        p = work[0].p
-        if p ** len(work) > caps.search_cap:
-            raise CapExceeded(
-                f"p^c = {p ** len(work)} exceeds search cap and the factor "
-                "has no affine dependencies left to eliminate"
-            )
         found = find_biased_combination(PolynomialFactor(work, 0, pinned), s, caps)
         if found is None:
             return PolynomialFactor(work, regularity_s=s, pinned_prefix=pinned)
         coeffs, cs = found
         target = _replacement_index(coeffs, work, pinned)
         h = combine(PolynomialFactor(work, 0, pinned), coeffs)
-        s_h = decompose_mod._bias_exponent(cs.magnitude, p)
+        s_h = decompose_mod._bias_exponent(cs.magnitude, h.p)
         sub_config = replace(
             config.decompose,
             seed=int(np.random.default_rng(

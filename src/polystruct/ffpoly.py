@@ -119,12 +119,23 @@ def sample_points(rng, p: int, n: int, m: int) -> np.ndarray:
     return rng.integers(0, p, size=(m, n))
 
 
-def _value_rows(polys, m: int, points=None) -> np.ndarray:
+def _value_rows(polys, m: int | None, points=None) -> np.ndarray:
     """Values of each polynomial as the rows of a (c, m) array: at all m = p^n
-    points in lexicographic order, or at the m rows of a point array."""
+    points in lexicographic order, or at the rows of an (m, n) point array, whose
+    columns are reduced mod p and made unique once for the whole family."""
+    if points is None:
+        return np.stack([g.eval_table() for g in polys]) if polys else np.zeros((0, m), np.int64)
+    pts = np.asarray(points)
+    for g in polys:
+        if g.p != polys[0].p or pts.ndim != 2 or pts.shape[1] != g.n:
+            raise InputError(f"points have shape {pts.shape}, expected (m, {g.n}) over one field")
     if not polys:
-        return np.zeros((0, m), dtype=np.int64)
-    return np.stack([g.eval_table() if points is None else g.eval_points(points) for g in polys])
+        return np.zeros((0, len(pts)), dtype=np.int64)
+    p = polys[0].p
+    exact = np.can_cast(pts.dtype, np.int64) and p < 2**63
+    pts = pts.astype(np.int64 if exact else object, copy=False)
+    axes = [(v.tolist(), i) for v, i in (np.unique(col % p, return_inverse=True) for col in pts.T)]
+    return np.stack([g._evaluate(axes, (len(pts),)) for g in polys])
 
 
 _CORNER_BATCH = 1 << 14  # corners per batch; samples * 2^k may reach the enumeration cap
@@ -198,6 +209,14 @@ class MultiPoly:
         e = [0] * n
         e[index - 1] = 1
         return cls(ctx, n, {tuple(e): 1})
+
+    @classmethod
+    def _wrap(cls, ctx: FieldCtx, n: int, terms: dict, table: np.ndarray) -> "MultiPoly":
+        """Reduced int terms and their eval_table() (made read-only), unvalidated."""
+        g, table.flags.writeable = cls.__new__(cls), False
+        for name, value in (("ctx", ctx), ("n", n), ("terms", terms), ("_table", table)):
+            object.__setattr__(g, name, value)
+        return g
 
     # -- basic structure ---------------------------------------------------
 
@@ -326,13 +345,7 @@ class MultiPoly:
 
     def eval_points(self, points) -> np.ndarray:
         """Values at the rows of an (m, n) integer array, reduced mod p first."""
-        pts = np.asarray(points)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise InputError(f"points have shape {pts.shape}, expected (m, {self.n})")
-        exact = np.can_cast(pts.dtype, np.int64) and self.p < 2**63
-        pts = pts.astype(np.int64 if exact else object, copy=False)
-        axes = [np.unique(column % self.p, return_inverse=True) for column in pts.T]
-        return self._evaluate([(v.tolist(), i) for v, i in axes], (len(pts),))
+        return _value_rows([self], None, points)[0]
 
     def eval_table(self) -> np.ndarray:
         """Values at all p^n points in lexicographic order, cached read-only;
@@ -347,7 +360,7 @@ class MultiPoly:
         return self._table
 
     def shift(self, h) -> "MultiPoly":
-        """The polynomial x -> f(x + h), expanded from functional_reduce(f)."""
+        """The polynomial x -> f(x + h), expanded symbolically from functional_reduce(f)."""
         if len(h) != self.n:
             raise InputError(f"direction has length {len(h)}, expected {self.n}")
         p = self.p
@@ -376,11 +389,47 @@ class MultiPoly:
 
 
 def derivative(f: MultiPoly, dirs) -> MultiPoly:
-    """Iterated directional derivative: successive f(x+h) - f(x), as functions."""
+    """Iterated directional derivative f(x+h) - f(x), symbolic via shift (or derivative_family)."""
     g = f
     for h in dirs:
         g = g.shift(h) - g
     return g
+
+
+def interpolate_tables(stack: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of eval_table along each point axis of an (m, p, ..., p) stack:
+    entry [i, e1..en] is the coefficient of x^e in the reduced polynomial with
+    table i.  The inverse Vandermonde of (a^e) has entry [e, a] = [e = 0] -
+    a^(p-1-e) mod p (0^0 = 1), as 1 - (x - a)^(p-1) is the indicator of a."""
+    powers = np.ones((p, p), dtype=np.int64)  # [k, a] = a^k mod p; if p x p fits, p^3 < 2^63
+    for k in range(1, p):
+        powers[k] = powers[k - 1] * np.arange(p) % p
+    inverse = ((np.arange(p) == 0)[:, None] - powers[::-1]) % p
+    out = np.asarray(stack, dtype=np.int64)
+    for axis in range(1, out.ndim):
+        out = np.moveaxis(np.tensordot(inverse, out, axes=(1, axis)) % p, 0, axis)
+    return out
+
+
+def derivative_family(f: MultiPoly, dirs) -> list[MultiPoly]:
+    """D_h f, reduced, for each direction h (n >= 1): row i of an (m, p, ..., p) stack
+    gathers T[x + h_i] - T[x] mod p from f's table T one axis at a time, with no (m, n,
+    p^n) index; interpolate_tables gives the terms, and each keeps a copy of its row."""
+    p, n = f.p, f.n
+    dirs = np.array(dirs, dtype=np.int64).reshape(-1, n)
+    m, grid = len(dirs), f.eval_table().reshape((p,) * n)
+    index = [((np.arange(p) + dirs[:, [i]]) % p).reshape(  # axis i: direction j reads x_i + h_ji
+        (m,) + (1,) * i + (p,) + (1,) * (n - 1 - i)) for i in range(n)]
+    tables = grid[tuple(index)]
+    tables -= grid
+    tables %= p
+    coeffs = interpolate_tables(tables, p).reshape(m, p**n)
+    rows, cols = np.nonzero(coeffs)
+    exponents = map(tuple, np.stack(np.unravel_index(cols, (p,) * n), axis=1).tolist())
+    terms = [{} for _ in range(m)]
+    for i, e, c in zip(rows.tolist(), exponents, coeffs[rows, cols].tolist()):
+        terms[i][e] = c
+    return [MultiPoly._wrap(f.ctx, n, t, r.copy()) for t, r in zip(terms, tables.reshape(m, p**n))]
 
 
 def homogeneous_top(f: MultiPoly) -> MultiPoly:

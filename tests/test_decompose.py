@@ -1,11 +1,13 @@
 """Bias-to-structure decompositions and the quadratic rank."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polystruct import decompose as decompose_mod
 from polystruct.bias import exact_bias
 from polystruct.config import Caps, DEFAULT_CAPS
 from polystruct.decompose import (
@@ -228,17 +230,14 @@ def _every_b_approx_decompose(f, s, t, seed=0, retries=16, caps=DEFAULT_CAPS,
     raise DecompositionFailed("no attempt reached the error target", best=best)
 
 
-def _attempt(f, s, **kwargs):
-    """(outcome, returned or best decomposition, or error text) of both implementations."""
-    out = []
-    for fn in (approx_decompose, _every_b_approx_decompose):
-        try:
-            out.append(("returned", fn(f, s, **kwargs)))
-        except DecompositionFailed as exc:
-            out.append(("failed", exc.best))
-        except PreconditionError as exc:
-            out.append(("precondition", str(exc)))
-    return out
+def _outcome(fn, f, s, **kwargs):
+    """(outcome, returned or best decomposition, or error text) of one implementation."""
+    try:
+        return "returned", fn(f, s, **kwargs)
+    except DecompositionFailed as exc:
+        return "failed", exc.best
+    except PreconditionError as exc:
+        return "precondition", str(exc)
 
 
 @st.composite
@@ -268,7 +267,8 @@ def approx_cases(draw):
 def test_approx_decompose_matches_the_every_b_family(case):
     f, kwargs = case
     s = _bias_exponent(max(exact_bias(f).magnitude, f.p ** -6), f.p)
-    (outcome, new), (want, old) = _attempt(f, s, **kwargs)
+    (outcome, new), (want, old) = (_outcome(fn, f, s, **kwargs)
+                                   for fn in (approx_decompose, _every_b_approx_decompose))
     assert outcome == want
     if isinstance(old, str):
         assert new == old
@@ -281,3 +281,82 @@ def test_approx_decompose_matches_the_every_b_family(case):
     for x in points_lex(f.p, f.n):
         assert new.gamma(tuple(g.eval(x) for g in new.polys)) == \
             old.gamma(tuple(g.eval(x) for g in old.polys))
+
+
+# -- the gathered derivative family against the symbolic one ------------------
+
+
+@st.composite
+def gather_cases(draw):
+    """(f, kwargs): f of degree <= 2(p-1) over F_p^n, p^n within the default caps."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        e = [0] * n
+        for _ in range(draw(st.integers(0, 2 * (p - 1))) if n else 0):
+            e[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(e)] = draw(st.integers(1, p - 1))
+    f = MultiPoly(FieldCtx(p), n, terms)
+    return f, dict(t=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**16)),
+                   retries=draw(st.integers(1, 2)), k_override=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gather_cases())
+@example((parse_poly("x1*x2*x3", 3), dict(t=2, seed=0, k_override=None)))
+@example((MultiPoly.constant(FieldCtx(5), 2, 3), dict(t=1, seed=0, k_override=None)))
+def test_gathered_derivatives_match_the_symbolic_path(case):
+    f, kwargs = case
+    s = _bias_exponent(max(exact_bias(f).magnitude, f.p ** -6), f.p)
+    runs = []
+    for work in (2**64, 0):  # every derivative gathered (n >= 1), then none
+        with patch.object(decompose_mod, "_GATHER_WORK", work):
+            runs.append(_outcome(approx_decompose, f, s, **kwargs))
+    (outcome, new), (want, old) = runs
+    assert outcome == want
+    if isinstance(old, str):
+        assert new == old
+        return
+    if f.is_constant():
+        assert new.directions == [] and new.polys == []
+    assert (new.attempts, new.claimed_error, new.k) == (old.attempts, old.claimed_error, old.k)
+    assert new.directions == old.directions and new.polys == old.polys
+    for g, h in zip(new.polys, old.polys):
+        assert g.eval_table().tolist() == h.eval_table().tolist()
+    assert _gamma_values(f, new) == _gamma_values(f, old)
+
+
+class _Took(Exception):
+    pass
+
+
+def _path(f, s, **kwargs):
+    """Which derivative path approx_decompose takes first for f: "gather" or "symbolic"."""
+    def took(path):
+        def record(*args):
+            raise _Took(path)
+        return record
+
+    with patch.object(decompose_mod, "derivative", took("symbolic")), \
+            patch.object(decompose_mod, "derivative_family", took("gather")), \
+            pytest.raises(_Took) as exc:
+        approx_decompose(f, s, 1, k_override=1, **kwargs)
+    return exc.value.args[0]
+
+
+def test_the_path_follows_the_measured_cost():
+    assert _path(parse_poly("x1*x2 + x3^2", 5), 2) == "gather"
+    small_cap = dict(caps=Caps(enum_cap=100), trust_bias=True)  # no table of 125 points
+    assert _path(parse_poly("x1*x2 + x3^2", 5), 2, **small_cap) == "symbolic"
+    assert _path(parse_poly("x1^2", 53), 1) == "gather"  # 53^2 <= 2^12
+    assert _path(parse_poly("x1^2", 127), 1) == "symbolic"
+    assert _path(parse_poly("x1^2", 3001), 1) == "symbolic"
+    many = MultiPoly(FieldCtx(521), 1, {(e,): 1 for e in range(70)})  # 70 terms count as 64
+    assert _path(many, 2) == "symbolic"
+
+
+def _gamma_values(f, dec):
+    """gamma(g_1(x), ..., g_c(x)) at every point x of F_p^n, in lexicographic order."""
+    tables = [g.eval_table().tolist() for g in dec.polys]
+    return [dec.gamma(key) for key in (zip(*tables) if tables else [()] * f.p ** f.n)]

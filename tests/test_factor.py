@@ -503,6 +503,13 @@ def test_dependency_reduce_examples():
     assert _dependency_reduce(polys[:1], 1) == polys[:1]
 
 
+def test_regularize_over_the_search_cap_names_the_cap():
+    independent = PolynomialFactor(_polys("x1;x2;x1*x2", 3, 2))
+    config = RegularizeConfig(DecomposeConfig(caps=Caps(search_cap=9)))
+    with pytest.raises(CapExceeded, match=r"^search_cap: 27 exceeds limit 9$"):
+        regularize(independent, 1, config)
+
+
 # -- regularization against oracle tables ------------------------------------
 
 

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polystruct import oracle
 from polystruct.errors import InputError, UnsupportedError
@@ -18,15 +18,19 @@ from polystruct.ffpoly import (
     compose_gamma,
     compose_poly,
     count_monomials_upto,
+    _value_rows,
     derivative,
+    derivative_family,
     functional_reduce,
     homogeneous_top,
+    interpolate_tables,
     is_prime,
     monomials_upto,
     parse_poly,
     points_lex,
     poly_to_str,
     restrict_hyperplane,
+    sample_points,
 )
 from util import naive_value, random_poly
 
@@ -409,6 +413,12 @@ def test_eval_points_rejects_the_wrong_width():
         f.eval_points(np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(InputError):
         f.eval_points([1, 2])
+    for points in (5, iter([[1, 2]])):  # neither is an (m, n) array
+        with pytest.raises(InputError):
+            f.eval_points(points)
+    for other in (parse_poly("x1*x2*x3", 5), parse_poly("x1*x2", 7)):  # another n, another p
+        with pytest.raises(InputError):
+            _value_rows([f, other], None, np.zeros((3, 2), dtype=np.int64))
 
 
 def test_derivative_of_a_huge_exponent_is_immediate():
@@ -416,3 +426,73 @@ def test_derivative_of_a_huge_exponent_is_immediate():
     g = derivative(parse_poly("x1^1000000000*x2", 3), [(1, 0)])
     assert time.perf_counter() - start < 1.0
     assert functional_reduce(g) == parse_poly("2*x1*x2 + x2", 3, n=2)
+
+
+# -- tables back to polynomials: interpolation and gathered derivatives -------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_interpolate_tables_inverts_eval_table(p, n, m, data):
+    size = p ** n
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=m * size, max_size=m * size))
+    stack = np.array(values, dtype=np.int64).reshape((m,) + (p,) * n)
+    coeffs = interpolate_tables(stack, p)
+    assert coeffs.shape == stack.shape and coeffs.dtype == np.int64
+    ctx = FieldCtx(p)
+    for row, table in zip(coeffs.reshape(m, size), stack.reshape(m, size)):
+        g = MultiPoly(ctx, n, dict(zip(points_lex(p, n), row.tolist())))
+        assert g.eval_table().tolist() == table.tolist()  # the round trip
+        if size <= 125:  # the oracle solves the p^n x p^n system naively
+            assert g == oracle.interpolate(oracle.TruthTable(p, n, tuple(table.tolist())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(primes=(2, 3, 5, 7), n_range=(1, 4), max_exp=9), st.data())
+def test_derivative_family_matches_the_symbolic_derivative(f, data):
+    p, n = f.p, f.n
+    dirs = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
+    family = derivative_family(f, dirs)
+    assert len(family) == len(dirs)
+    for h, g in zip(dirs, family):
+        want = functional_reduce(derivative(f, [h]))
+        plain = MultiPoly(f.ctx, n, g.terms)
+        assert g == want == plain and hash(g) == hash(want) == hash(plain)
+        assert all(type(v) is int for e in g.terms for v in e)
+        assert all(type(c) is int and 0 < c < p for c in g.terms.values())
+        table = g.eval_table()
+        assert table is g.eval_table() and table.dtype == np.int64
+        assert table.base is None  # its own array: no row view keeps the stack alive
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert table.tolist() == plain.eval_table().tolist()
+
+
+@st.composite
+def point_families(draw):
+    """(polys, points): a family of polynomials over one field and an (m, n) point array."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 2**61 - 1, 2**64 + 13]))
+    n = draw(st.integers(0, 3))
+    ctx = FieldCtx(p)
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {tuple(draw(st.integers(0, 9)) for _ in range(n)): draw(st.integers(1, p - 1))
+                 for _ in range(draw(st.integers(0, 4)))}
+        polys.append(MultiPoly(ctx, n, terms))
+    m = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.integers(-2 * p, 3 * p), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return polys, np.array(rows, dtype=np.int64 if p < 2**62 else object).reshape(m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_families())
+@example(([MultiPoly.constant(FieldCtx(2**64 + 13), 0, 7), MultiPoly.zero(FieldCtx(2**64 + 13), 0)],
+          sample_points(np.random.default_rng(0), 2**64 + 13, 0, 5)))  # object dtype, n = 0
+def test_value_rows_on_points_matches_per_polynomial_eval_points(case):
+    polys, pts = case
+    got = _value_rows(polys, len(pts), pts)
+    want = np.stack([g.eval_points(pts) for g in polys])
+    assert got.dtype == want.dtype and got.shape == (len(polys), len(pts))
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [[naive_value(g, row) for row in pts.tolist()] for g in polys]
