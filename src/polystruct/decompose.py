@@ -6,9 +6,9 @@ among the small-weight combinations b.z (a zero or repeated direction adds
 nothing), and fit the outer lookup table empirically (the most consistent
 value per observed derivative tuple, ties to the smallest lift).  The
 existential choice of z becomes a seeded retry loop with an explicit error
-target of 2*p^-t.  The derivatives are gathered from f's table where that
-is measured to be cheaper (see _GATHER_WORK), and expanded symbolically
-through shift elsewhere.
+target of 2*p^-t.  Each attempt makes one derivative_family call: terms
+from one expansion of f(x + h), h symbolic (<= 256 m pairs multiply-adds),
+and tables T[x + h] - T[x] from f's table where p^n <= enum_cap (m n p^n).
 
 exact_decompose chains that with factor regularization and a per-atom
 value table, and certifies exactness by exhaustive check at desk scale.
@@ -33,16 +33,11 @@ from .errors import (
     UnsupportedError,
 )
 from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, derivative, derivative_family, functional_reduce,
-    monomials_upto, sample_points,
+    LookupTable, MultiPoly, _value_rows, derivative_family, monomials_upto, sample_points,
 )
 
 INFINITE_RANK = float("inf")
 _PIPELINE_RETRIES = 4  # full pipeline reruns when measurability fails
-# Gathering and interpolating one derivative table costs n p^(n+1) steps.  Timed for n = 1-9,
-# p = 3-3001, deg f = 2-16, it beat the symbolic derivative wherever that was <= 2^12 steps
-# per term of f, and lost at some points past 2^13; 64 terms keep p x p matrices < 2 MB.
-_GATHER_WORK = 2**12
 
 
 @dataclass
@@ -109,8 +104,7 @@ def approx_decompose(
     k = k_override if k_override is not None else t + 2 * s + 3
     dtype = np.int64 if k * (p - 1) ** 2 < 2**63 else object  # basis @ z stays exact
     basis = np.array(monomials_upto(k, d, p), dtype=dtype, ndmin=2)
-    gather = (n >= 1 and p ** n <= caps.enum_cap
-              and n * p ** (n + 1) <= _GATHER_WORK * min(len(f.terms), 64))
+    tables = p ** n <= caps.enum_cap  # as in _fit_table, which then reads them
     target = 2.0 * p ** (-t)
 
     best: Decomposition | None = None
@@ -119,8 +113,7 @@ def approx_decompose(
         z = sample_points(rng, p, n, k).astype(dtype)
         # one derivative per distinct nonzero direction, at its first b in graded order
         dirs = [h for h in dict.fromkeys(map(tuple, (basis @ z % p).tolist())) if any(h)]
-        polys = (derivative_family(f, dirs) if gather and dirs
-                 else [functional_reduce(derivative(f, [h])) for h in dirs])
+        polys = derivative_family(f, dirs, tables)
         table, err = _fit_table(f, polys, caps, error_samples, rng)
         dec = Decomposition(
             polys=polys,

@@ -275,7 +275,7 @@ def _plurality_vote(tables, values, p: int) -> tuple[LookupTable, int, bool]:
     best = np.lexsort((-counts, atoms[runs]))
     winners = best[np.searchsorted(atoms[runs], np.arange(len(keys)))]
     entries = dict(zip(map(tuple, keys.tolist()), ordered[runs[winners]].tolist()))
-    table = LookupTable(p, tables.shape[0], entries, default=0)
+    table = LookupTable._wrap(p, tables.shape[0], entries, default=0)
     return table, int(counts[winners].sum()), len(runs) == len(keys)
 
 

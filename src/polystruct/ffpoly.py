@@ -211,9 +211,11 @@ class MultiPoly:
         return cls(ctx, n, {tuple(e): 1})
 
     @classmethod
-    def _wrap(cls, ctx: FieldCtx, n: int, terms: dict, table: np.ndarray) -> "MultiPoly":
-        """Reduced int terms and their eval_table() (made read-only), unvalidated."""
-        g, table.flags.writeable = cls.__new__(cls), False
+    def _wrap(cls, ctx: FieldCtx, n: int, terms: dict, table=None) -> "MultiPoly":
+        """Reduced int terms and, if given, their eval_table() (made read-only), unvalidated."""
+        g = cls.__new__(cls)
+        if table is not None:
+            table.flags.writeable = False
         for name, value in (("ctx", ctx), ("n", n), ("terms", terms), ("_table", table)):
             object.__setattr__(g, name, value)
         return g
@@ -359,77 +361,74 @@ class MultiPoly:
             object.__setattr__(self, "_table", table)
         return self._table
 
-    def shift(self, h) -> "MultiPoly":
-        """The polynomial x -> f(x + h), expanded symbolically from functional_reduce(f)."""
-        if len(h) != self.n:
-            raise InputError(f"direction has length {len(h)}, expected {self.n}")
-        p = self.p
-        h = [int(v) % p for v in h]
-        out: dict[Monomial, int] = {}
-        for e, c in self.terms.items():
-            # expand prod_i (x_i + h_i)^{e_i}
-            partial = {(): c}
-            for ei, hi in zip(e, h):
-                ei = ((ei - 1) % (p - 1)) + 1 if ei else 0  # as in functional_reduce
-                nxt: dict[Monomial, int] = {}
-                for k in range(ei + 1):
-                    w = (math.comb(ei, k) * pow(hi, ei - k, p)) % p
-                    if not w:
-                        continue
-                    for pe, pc in partial.items():
-                        key = pe + (k,)
-                        nxt[key] = (nxt.get(key, 0) + pc * w) % p
-                partial = nxt
-            for pe, pc in partial.items():
-                out[pe] = out.get(pe, 0) + pc
-        return MultiPoly(self.ctx, self.n, out)
-
 
 # -- specified operations ---------------------------------------------------
 
 
 def derivative(f: MultiPoly, dirs) -> MultiPoly:
-    """Iterated directional derivative f(x+h) - f(x), symbolic via shift (or derivative_family)."""
-    g = f
+    """D_{h_k} ... D_{h_1} f, reduced (f itself when dirs is empty): one derivative_family
+    call per direction, without tables, at most 256 * pairs multiply-adds each."""
     for h in dirs:
-        g = g.shift(h) - g
-    return g
+        (f,) = derivative_family(f, [h])
+    return f
 
 
-def interpolate_tables(stack: np.ndarray, p: int) -> np.ndarray:
-    """The inverse of eval_table along each point axis of an (m, p, ..., p) stack:
-    entry [i, e1..en] is the coefficient of x^e in the reduced polynomial with
-    table i.  The inverse Vandermonde of (a^e) has entry [e, a] = [e = 0] -
-    a^(p-1-e) mod p (0^0 = 1), as 1 - (x - a)^(p-1) is the indicator of a."""
-    powers = np.ones((p, p), dtype=np.int64)  # [k, a] = a^k mod p; if p x p fits, p^3 < 2^63
-    for k in range(1, p):
-        powers[k] = powers[k - 1] * np.arange(p) % p
-    inverse = ((np.arange(p) == 0)[:, None] - powers[::-1]) % p
-    out = np.asarray(stack, dtype=np.int64)
-    for axis in range(1, out.ndim):
-        out = np.moveaxis(np.tensordot(inverse, out, axes=(1, axis)) % p, 0, axis)
-    return out
+def derivative_family(f: MultiPoly, dirs, tables: bool = False) -> list[MultiPoly]:
+    """D_h f = f(x + h) - f(x), reduced, for each direction h (a sequence of n ints).
 
-
-def derivative_family(f: MultiPoly, dirs) -> list[MultiPoly]:
-    """D_h f, reduced, for each direction h (n >= 1): row i of an (m, p, ..., p) stack
-    gathers T[x + h_i] - T[x] mod p from f's table T one axis at a time, with no (m, n,
-    p^n) index; interpolate_tables gives the terms, and each keeps a copy of its row."""
-    p, n = f.p, f.n
-    dirs = np.array(dirs, dtype=np.int64).reshape(-1, n)
-    m, grid = len(dirs), f.eval_table().reshape((p,) * n)
-    index = [((np.arange(p) + dirs[:, [i]]) % p).reshape(  # axis i: direction j reads x_i + h_ji
-        (m,) + (1,) * i + (p,) + (1,) * (n - 1 - i)) for i in range(n)]
-    tables = grid[tuple(index)]
-    tables -= grid
-    tables %= p
-    coeffs = interpolate_tables(tables, p).reshape(m, p**n)
-    rows, cols = np.nonzero(coeffs)
-    exponents = map(tuple, np.stack(np.unravel_index(cols, (p,) * n), axis=1).tolist())
+    Each term c x^e of functional_reduce(f) gives c e!/(a! b!) h^a x^b over its
+    prod_i (e_i + 1) pairs a + b = e; those with a != 0 fill an (h-monomials,
+    x-monomials) matrix W, and row j of (h_j^a) @ W mod p is D_{h_j} f: at most
+    256 * m * pairs multiply-adds over 256-column blocks of W in float64, exact while
+    #a (p-1)^2 < 2^53, and m * pairs in Python ints, a column at a time, past that.
+    With tables, each derivative caches T[x + h] - T[x] mod p, gathered from f's
+    table T one axis at a time (m n p^n steps).
+    """
+    p, n, m = f.p, f.n, len(dirs)
+    if any(len(h) != n for h in dirs):
+        raise InputError(f"every direction must have length n = {n}")
+    a_ids, b_ids, a_of, b_of, weight = {}, {}, [], [], []  # the pairs, numbered by a and b
+    for e, c in functional_reduce(f).terms.items():
+        for b in itertools.product(*(range(v + 1) for v in e)):
+            if b != e:  # a = 0 is f(x) itself
+                a_of.append(a_ids.setdefault(tuple(v - u for v, u in zip(e, b)), len(a_ids)))
+                b_of.append(b_ids.setdefault(b, len(b_ids)))
+                weight.append(c * math.prod(map(math.comb, e, b)) % p)
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    hs = np.array([[int(v) % p for v in h] for h in dirs], dtype=dtype).reshape(m, n)
+    a_rows = np.array(list(a_ids), dtype=np.int64).reshape(len(a_ids), n)
+    power = np.ones((m, n, int(a_rows.max(initial=0)) + 1), dtype=dtype)
+    for k in range(1, power.shape[2]):  # power[j, i, k] = h_ji^k
+        power[:, :, k] = power[:, :, k - 1] * hs % p
+    powers = np.ones((m, len(a_rows)), dtype=dtype)  # h_j^a
+    for i in range(n):
+        powers = powers * power[:, i, a_rows[:, i]] % p
+    order = np.argsort(b_of, kind="stable")
+    a_of, b_of = np.array(a_of, dtype=np.intp)[order], np.array(b_of, dtype=np.intp)[order]
+    kind = np.float64 if len(a_rows) * (p - 1) ** 2 < 2**53 else object
+    width = 256 if kind is np.float64 else 1  # x-monomials per block of W: BLAS, or no zeros
+    powers, weight = powers.astype(kind), np.array(weight, dtype=kind)[order]
+    coeffs = np.zeros((m, len(b_ids)), dtype=dtype)
+    for lo in range(0, len(b_ids), width):
+        start, stop = np.searchsorted(b_of, (lo, lo + width))
+        used: dict = {}  # the rows of W this block uses
+        row = [used.setdefault(a, len(used)) for a in a_of[start:stop].tolist()]
+        block = np.zeros((len(used), min(width, len(b_ids) - lo)), dtype=kind)
+        block[row, b_of[start:stop] - lo] = weight[start:stop]
+        coeffs[:, lo:lo + width] = powers[:, list(used)] @ block % p
+    rows, cols, keys = *np.nonzero(coeffs), list(b_ids)
     terms = [{} for _ in range(m)]
-    for i, e, c in zip(rows.tolist(), exponents, coeffs[rows, cols].tolist()):
-        terms[i][e] = c
-    return [MultiPoly._wrap(f.ctx, n, t, r.copy()) for t, r in zip(terms, tables.reshape(m, p**n))]
+    for j, b, c in zip(rows.tolist(), cols.tolist(), coeffs[rows, cols].tolist()):
+        terms[j][keys[b]] = c
+    if not tables:
+        return [MultiPoly._wrap(f.ctx, n, t) for t in terms]
+    grid = f.eval_table().reshape((1,) + (p,) * n)  # axis 0 lets n = 0 index it too
+    index = [np.zeros((m,) + (1,) * n, dtype=np.intp)] + [((np.arange(p) + hs[:, [i]]) % p)
+             .reshape((m,) + (1,) * i + (p,) + (1,) * (n - 1 - i)) for i in range(n)]
+    stack = grid[tuple(index)]
+    stack -= grid
+    stack %= p
+    return [MultiPoly._wrap(f.ctx, n, t, r.copy()) for t, r in zip(terms, stack.reshape(m, p**n))]
 
 
 def homogeneous_top(f: MultiPoly) -> MultiPoly:
@@ -493,6 +492,13 @@ class LookupTable:
                 raise InputError(f"key {key} has arity {len(key)}, expected {arity}")
             self.entries[key] = int(v) % p
         self.default = None if default is None else int(default) % p
+
+    @classmethod
+    def _wrap(cls, p: int, arity: int, entries: dict, default: int | None = None) -> "LookupTable":
+        """Int keys of length arity, values and default, all in [0, p), unvalidated."""
+        table = cls.__new__(cls)
+        table.p, table.arity, table.entries, table.default = p, arity, entries, default
+        return table
 
     def is_total(self) -> bool:
         return self.default is not None or len(self.entries) == self.p ** self.arity

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polystruct import decompose as decompose_mod
+from polystruct import decompose as decompose_mod, oracle
 from polystruct.bias import exact_bias
 from polystruct.config import Caps, DEFAULT_CAPS
 from polystruct.decompose import (
@@ -27,6 +27,7 @@ from polystruct.ffpoly import (
     LookupTable,
     MultiPoly,
     derivative,
+    derivative_family,
     functional_reduce,
     monomials_upto,
     parse_poly,
@@ -283,23 +284,27 @@ def test_approx_decompose_matches_the_every_b_family(case):
             old.gamma(tuple(g.eval(x) for g in old.polys))
 
 
-# -- the gathered derivative family against the symbolic one ------------------
+# -- the decomposition's derivatives against the oracle -----------------------
 
 
 @st.composite
 def gather_cases(draw):
-    """(f, kwargs): f of degree <= 2(p-1) over F_p^n, p^n within the default caps."""
+    """(f, kwargs): f of degree <= 2(p-1) over F_p^n, n >= 1, p^n <= 125 so the
+    oracle interpolates each derivative in time."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(1, {2: 4, 3: 4, 5: 3, 7: 2}[p]))
     terms = {}
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         e = [0] * n
-        for _ in range(draw(st.integers(0, 2 * (p - 1))) if n else 0):
+        for _ in range(draw(st.integers(1, 2 * (p - 1)))):
             e[draw(st.integers(0, n - 1))] += 1
         terms[tuple(e)] = draw(st.integers(1, p - 1))
     f = MultiPoly(FieldCtx(p), n, terms)
-    return f, dict(t=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**16)),
-                   retries=draw(st.integers(1, 2)), k_override=draw(st.integers(1, 2)))
+    kwargs = dict(t=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**16)),
+                  retries=draw(st.integers(1, 2)), k_override=draw(st.integers(1, 2)))
+    if draw(st.booleans()):  # no table of f: the derivatives come without tables
+        kwargs.update(caps=Caps(enum_cap=1), trust_bias=True, error_samples=200)
+    return f, kwargs
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,54 +314,24 @@ def gather_cases(draw):
 def test_gathered_derivatives_match_the_symbolic_path(case):
     f, kwargs = case
     s = _bias_exponent(max(exact_bias(f).magnitude, f.p ** -6), f.p)
-    runs = []
-    for work in (2**64, 0):  # every derivative gathered (n >= 1), then none
-        with patch.object(decompose_mod, "_GATHER_WORK", work):
-            runs.append(_outcome(approx_decompose, f, s, **kwargs))
-    (outcome, new), (want, old) = runs
-    assert outcome == want
-    if isinstance(old, str):
-        assert new == old
+    with patch.object(decompose_mod, "derivative_family", wraps=derivative_family) as family:
+        outcome, dec = _outcome(approx_decompose, f, s, **kwargs)
+    if isinstance(dec, str):
+        assert outcome == "precondition" and not family.called
         return
     if f.is_constant():
-        assert new.directions == [] and new.polys == []
-    assert (new.attempts, new.claimed_error, new.k) == (old.attempts, old.claimed_error, old.k)
-    assert new.directions == old.directions and new.polys == old.polys
-    for g, h in zip(new.polys, old.polys):
-        assert g.eval_table().tolist() == h.eval_table().tolist()
-    assert _gamma_values(f, new) == _gamma_values(f, old)
-
-
-class _Took(Exception):
-    pass
-
-
-def _path(f, s, **kwargs):
-    """Which derivative path approx_decompose takes first for f: "gather" or "symbolic"."""
-    def took(path):
-        def record(*args):
-            raise _Took(path)
-        return record
-
-    with patch.object(decompose_mod, "derivative", took("symbolic")), \
-            patch.object(decompose_mod, "derivative_family", took("gather")), \
-            pytest.raises(_Took) as exc:
-        approx_decompose(f, s, 1, k_override=1, **kwargs)
-    return exc.value.args[0]
-
-
-def test_the_path_follows_the_measured_cost():
-    assert _path(parse_poly("x1*x2 + x3^2", 5), 2) == "gather"
-    small_cap = dict(caps=Caps(enum_cap=100), trust_bias=True)  # no table of 125 points
-    assert _path(parse_poly("x1*x2 + x3^2", 5), 2, **small_cap) == "symbolic"
-    assert _path(parse_poly("x1^2", 53), 1) == "gather"  # 53^2 <= 2^12
-    assert _path(parse_poly("x1^2", 127), 1) == "symbolic"
-    assert _path(parse_poly("x1^2", 3001), 1) == "symbolic"
-    many = MultiPoly(FieldCtx(521), 1, {(e,): 1 for e in range(70)})  # 70 terms count as 64
-    assert _path(many, 2) == "symbolic"
-
-
-def _gamma_values(f, dec):
-    """gamma(g_1(x), ..., g_c(x)) at every point x of F_p^n, in lexicographic order."""
-    tables = [g.eval_table().tolist() for g in dec.polys]
-    return [dec.gamma(key) for key in (zip(*tables) if tables else [()] * f.p ** f.n)]
+        assert dec.directions == [] and dec.polys == []
+    # one call per attempt, with tables exactly where the fit enumerates f's table
+    enumerable = f.p ** f.n <= kwargs.get("caps", DEFAULT_CAPS).enum_cap
+    attempts = dec.attempts if outcome == "returned" else max(1, kwargs.get("retries", 16))
+    assert [call.args[2] for call in family.call_args_list] == [enumerable] * attempts
+    table = oracle.table_of(f).values
+    index = {x: i for i, x in enumerate(points_lex(f.p, f.n))}
+    for h, g in zip(dec.directions, dec.polys):
+        diff = tuple((table[index[tuple((a + b) % f.p for a, b in zip(x, h))]] - table[i]) % f.p
+                     for x, i in index.items())
+        assert g == oracle.interpolate(oracle.TruthTable(f.p, f.n, diff))
+        assert (g._table is not None) == enumerable
+        assert tuple(g.eval_table().tolist()) == diff
+    if enumerable:
+        assert dec.claimed_error == pytest.approx(decomposition_error(f, dec), abs=1e-12)

@@ -335,6 +335,10 @@ def _assert_matches_oracle_plurality(f, factor):
     )
     assert list(table.entries.items()) == list(entries.items())  # first-occurrence order
     assert (table.arity, table.default) == (factor.c, 0)
+    checked = LookupTable(f.p, factor.c, table.entries, table.default)  # the validating constructor
+    assert (checked.entries, checked.default) == (table.entries, table.default)
+    assert all(type(v) is int for key in table.entries for v in key)
+    assert all(type(v) is int for v in table.entries.values())
     assert (exact, agreement) == (want_exact, hits / size)
 
 

@@ -23,7 +23,6 @@ from polystruct.ffpoly import (
     derivative_family,
     functional_reduce,
     homogeneous_top,
-    interpolate_tables,
     is_prime,
     monomials_upto,
     parse_poly,
@@ -316,6 +315,16 @@ def test_serialization_roundtrip(f):
     assert parse_poly(poly_to_str(f), f.p, f.n) == f
 
 
+def test_lookup_table_trusted_constructor_builds_the_checked_table():
+    entries = {(a, b): (a * b + 1) % 5 for a in range(5) for b in range(5) if a != b}
+    for default in (None, 0, 3):
+        checked = LookupTable(5, 2, {(a + 5, b - 5): v + 10 for (a, b), v in entries.items()}, default)
+        trusted = LookupTable._wrap(5, 2, dict(entries), default)
+        assert (trusted.p, trusted.arity, trusted.entries, trusted.default) == \
+            (checked.p, checked.arity, checked.entries, checked.default)
+        assert trusted == checked and trusted.is_total() == (default is not None)
+
+
 def test_lookup_table_flat_roundtrip():
     table = LookupTable(3, 2, {(a, b): (2 * a + b) % 3 for a in range(3) for b in range(3)})
     # keys in graded order: (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), (1,2), (2,1), (2,2)
@@ -428,44 +437,115 @@ def test_derivative_of_a_huge_exponent_is_immediate():
     assert functional_reduce(g) == parse_poly("2*x1*x2 + x2", 3, n=2)
 
 
-# -- tables back to polynomials: interpolation and gathered derivatives -------
+# -- the derivative family against references that share none of its code --------
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4), st.integers(0, 3), st.data())
-def test_interpolate_tables_inverts_eval_table(p, n, m, data):
-    size = p ** n
-    values = data.draw(st.lists(st.integers(0, p - 1), min_size=m * size, max_size=m * size))
-    stack = np.array(values, dtype=np.int64).reshape((m,) + (p,) * n)
-    coeffs = interpolate_tables(stack, p)
-    assert coeffs.shape == stack.shape and coeffs.dtype == np.int64
-    ctx = FieldCtx(p)
-    for row, table in zip(coeffs.reshape(m, size), stack.reshape(m, size)):
-        g = MultiPoly(ctx, n, dict(zip(points_lex(p, n), row.tolist())))
-        assert g.eval_table().tolist() == table.tolist()  # the round trip
-        if size <= 125:  # the oracle solves the p^n x p^n system naively
-            assert g == oracle.interpolate(oracle.TruthTable(p, n, tuple(table.tolist())))
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_polys(primes=(2, 3, 5, 7), n_range=(1, 4), max_exp=9), st.data())
-def test_derivative_family_matches_the_symbolic_derivative(f, data):
+def _oracle_derivative(f, h):
+    """(D_h f, its table): f's oracle table read at x + h minus at x, interpolated."""
     p, n = f.p, f.n
-    dirs = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4))
-    family = derivative_family(f, dirs)
+    values = oracle.table_of(f).values
+    index = {x: i for i, x in enumerate(points_lex(p, n))}
+    diff = tuple((values[index[tuple((a + b) % p for a, b in zip(x, h))]] - values[i]) % p
+                 for x, i in index.items())
+    return oracle.interpolate(oracle.TruthTable(p, n, diff)), diff
+
+
+@st.composite
+def derivative_cases(draw):
+    """(f, dirs): f over F_p^n with p^n <= 125, the size the oracle interpolates in time,
+    and directions led by the zero one and one with every entry set, some entries
+    outside [0, p)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(small_polys(primes=(p,), n_range=(0, {2: 6, 3: 4, 5: 3, 7: 2}[p]), max_exp=9))
+    extra = st.lists(st.tuples(*[st.integers(-p, 2 * p)] * f.n), max_size=3)
+    return f, [(0,) * f.n, (p - 1,) * f.n] + draw(extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivative_cases(), st.booleans())
+@example((parse_poly("x1^4*x2^3 + x2", 3), [(0, 0), (2, 2), (1, 0)]), True)  # unreduced exponents
+@example((MultiPoly.constant(FieldCtx(5), 0, 3), [(), ()]), True)  # n = 0
+def test_derivative_family_matches_the_symbolic_derivative(case, tables):
+    f, dirs = case
+    p, n = f.p, f.n
+    family = derivative_family(f, dirs, tables)
     assert len(family) == len(dirs)
     for h, g in zip(dirs, family):
-        want = functional_reduce(derivative(f, [h]))
+        want, diff = _oracle_derivative(f, h)
         plain = MultiPoly(f.ctx, n, g.terms)
         assert g == want == plain and hash(g) == hash(want) == hash(plain)
         assert all(type(v) is int for e in g.terms for v in e)
         assert all(type(c) is int and 0 < c < p for c in g.terms.values())
+        assert (g._table is not None) == tables
         table = g.eval_table()
         assert table is g.eval_table() and table.dtype == np.int64
-        assert table.base is None  # its own array: no row view keeps the stack alive
+        assert table.base is None or not tables  # a gathered row owns its memory
         with pytest.raises(ValueError):
             table[0] = 1
-        assert table.tolist() == plain.eval_table().tolist()
+        assert tuple(table.tolist()) == diff
+    assert derivative(f, dirs[1:2]) == family[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 16), (2**61 - 1, 3), (2**64 + 13, 3)]), st.data())
+def test_derivative_family_is_f_at_x_plus_h_minus_f_at_x(case, data):
+    # past the oracle's reach, and on object dtype: the identity at sampled points
+    p, n = case
+    ctx = FieldCtx(p)
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 6))):  # up to 3 variables per term, exponents to 9
+        e = [0] * n
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            e[i] = data.draw(st.integers(0, 9))
+        terms[tuple(e)] = data.draw(st.integers(1, p - 1))
+    f = MultiPoly(ctx, n, terms)
+    entry = st.integers(0, p - 1)
+    dirs = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+    points = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+    for h, g in zip(dirs, derivative_family(f, dirs)):
+        assert all(type(c) is int and 0 < c < p for c in g.terms.values())
+        for x in points:
+            shifted = tuple(a + b for a, b in zip(x, h))
+            assert naive_value(g, x) == (naive_value(f, shifted) - naive_value(f, x)) % p
+
+
+def test_a_family_past_one_column_block_matches_its_tables():
+    # 342 x-monomials: the weight product runs over two 256-column blocks
+    p, n = 7, 3
+    f = MultiPoly(FieldCtx(p), n, {e: 1 + sum(e) % (p - 1) for e in points_lex(p, n)})
+    dirs = [(1, 0, 0), (0, 6, 0), (3, 5, 2), (6, 6, 6)]
+    family = derivative_family(f, dirs, True)
+    assert len(set().union(*(g.terms for g in family))) > 256
+    for h, g in zip(dirs, family):
+        assert MultiPoly(f.ctx, n, g.terms).eval_table().tolist() == g.eval_table().tolist()
+        x = (2, 4, 1)
+        shifted = tuple(a + b for a, b in zip(x, h))
+        assert naive_value(g, x) == (naive_value(f, shifted) - naive_value(f, x)) % p
+
+
+def test_derivative_family_rejects_a_direction_of_the_wrong_length():
+    f = parse_poly("x1*x2", 5)
+    for h in [(1, 2, 3, 4), (1, 2, 3), (1,), ()]:
+        with pytest.raises(InputError):
+            derivative_family(f, [(1, 1), h])
+        with pytest.raises(InputError):
+            derivative(f, [h])
+
+
+def test_a_high_degree_family_in_one_variable_is_fast():
+    p = 1009
+    f = MultiPoly(FieldCtx(p), 1, {(e,): 1 + e for e in range(17)})
+    dirs = [(h,) for h in range(1, p)]
+    start = time.perf_counter()
+    family = derivative_family(f, dirs, True)
+    assert time.perf_counter() - start < 0.5
+    table = f.eval_table()
+    for h in (1, 2, 500, 1008):
+        g = family[h - 1]
+        assert g.degree() == 15
+        want = ((np.roll(table, -h) - table) % p).tolist()
+        assert g.eval_table().tolist() == want
+        assert MultiPoly(f.ctx, 1, g.terms).eval_table().tolist() == want  # the terms too
 
 
 @st.composite
