@@ -1,16 +1,15 @@
 """Polynomial bias and Gowers uniformity norms via the additive character.
 
-Exact biases come from integer value counts, (1/p^n) sum_v N_v e(v/p)
-summed over ascending v, so they do not depend on point order or chunking
-and repeated runs are bit-for-bit identical.  Sampled estimators use the
-seeded pcg64 generator and are deterministic given (seed, sample count).
+Biases, exact or sampled, and sampled Gowers norms sum N_v e(v/p) over ascending v
+from integer counts of the values (or signed cube-corner sums), so no result depends
+on point order or chunking; sampling uses the seeded pcg64 generator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,10 +69,8 @@ def sampled_bias(f: MultiPoly, samples: int, seed: int) -> CharacterSum:
     if samples < 1:
         raise InputError("samples must be >= 1")
     pts = sample_points(np.random.default_rng(seed), f.p, f.n, samples)
-    values, inverse = np.unique(f.eval_points(pts), return_inverse=True)
-    phases = np.array([_phase(int(v), f.p) for v in values])  # values that occur
-    mean = phases[inverse].mean() if f.n else phases[0] + 0j
-    return CharacterSum(float(mean.real), float(mean.imag), samples)
+    values, counts = np.unique(f.eval_points(pts), return_counts=True)
+    return replace(bias_from_counts(values, counts, f.p, samples), sample_count=samples)
 
 
 def gowers_norm(
@@ -119,12 +116,11 @@ def gowers_norm(
         caps.require_power("enum_cap", 2, d, samples)  # cube corners visited
         signs = np.array([(-1) ** (d - bin(m).count("1")) for m in range(1 << d)])
         dtype = np.int64 if (1 << d) * p < 2**63 else object  # signed corner sums stay exact
-        total = 0j
-        for corners in cube_corners(np.random.default_rng(seed), p, n, d, samples):
-            values = f.eval_points(corners).reshape(-1, 1 << d)
-            for val in (values.astype(dtype) @ signs % p).tolist():
-                total += _phase(val, p)
-        mean = (total / samples).real
+        sums = np.concatenate([
+            f.eval_points(c).reshape(-1, 1 << d).astype(dtype) @ signs % p
+            for c in cube_corners(np.random.default_rng(seed), p, n, d, samples)])
+        values, counts = np.unique(sums, return_counts=True)
+        mean = bias_from_counts(values, counts, p, samples).re
     else:
         raise InputError(f"unknown mode {mode!r}")
     return max(mean, 0.0) ** (1.0 / (1 << d))

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, cube_corners, monomials_upto, sample_points,
+    LookupTable, MultiPoly, _value_rows, cube_corners, graded_points, sample_points,
 )
 
 _SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
@@ -145,14 +145,14 @@ def find_biased_combination(
     size = p ** n
     caps.require("enum_cap", size)
     threshold = p ** (-s) - BIAS_TOL
-    vectors = [a for a in monomials_upto(c, c * (p - 1), p) if any(a)]
     dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
+    vectors = graded_points(p, c)[1:].astype(dtype)  # the nonzero ones
     tables = _value_rows(factor.polys, size).astype(dtype, copy=False)
     phases = np.exp(2j * np.pi * np.arange(p) / p)
     rows = max(1, _SCAN_CHUNK // max(size, p))
     for start in range(0, len(vectors), rows):
         chunk = vectors[start:start + rows]
-        vals = np.asarray(np.array(chunk, dtype=dtype) @ tables % p, dtype=np.int64)
+        vals = np.asarray(chunk @ tables % p, dtype=np.int64)
         offsets = p * np.arange(len(chunk), dtype=np.int64)[:, None]
         counts = np.bincount((vals + offsets).ravel(), minlength=len(chunk) * p)
         counts = counts.reshape(len(chunk), p)
@@ -161,7 +161,7 @@ def find_biased_combination(
         for i in np.flatnonzero(magnitudes >= threshold - BIAS_TOL):
             cs = bias_from_counts(range(p), counts[i], p, size)
             if cs.magnitude >= threshold:
-                return chunk[i], cs
+                return tuple(chunk[i].tolist()), cs
     return None
 
 

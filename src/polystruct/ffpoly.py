@@ -70,6 +70,12 @@ def points_lex(p: int, n: int):
     return itertools.product(range(p), repeat=n)
 
 
+def graded_points(p: int, n: int) -> np.ndarray:
+    """All of F_p^n as the rows of a (p^n, n) array in graded order (sum, then lex)."""
+    points = np.indices((p,) * n).reshape(n, p ** n).T
+    return points[np.argsort(points.sum(axis=1), kind="stable")]
+
+
 def graded_key(e: Monomial):
     """Graded order: sum of canonical lifts, then lexicographic."""
     return (sum(e), e)
@@ -78,10 +84,9 @@ def graded_key(e: Monomial):
 def monomials_upto(n: int, degree: int, p: int) -> list[Monomial]:
     """All e in [0, min(p-1, degree)]^n with sum(e) <= degree, in graded order.
 
-    One list serves as the exponent vectors of the degree <= degree
-    monomials, as the small-weight coefficient vectors b, and, at degree
-    n(p-1), as all of F_p^n.  Built by sum without a sort: vectors of each
-    sum come out in lex order when the first entry ascends outermost.
+    One list serves as the exponents of the degree <= degree monomials and as
+    the small-weight vectors b.  Built by sum without a sort: each sum's
+    vectors come out in lex order when the first entry ascends outermost.
     """
     cap = min(degree, p - 1)
     budget = min(degree, n * cap)
@@ -144,18 +149,17 @@ _CORNER_BATCH = 1 << 14  # corners per batch; samples * 2^k may reach the enumer
 def cube_corners(rng, p: int, n: int, k: int, samples: int) -> Iterator[np.ndarray]:
     """Corners x + sum_{j in mask} y_j mod p of `samples` random cubes.
 
-    Draws x, then y_1..y_k, for one cube after another; yields (s * 2^k, n)
-    arrays of s whole cubes in mask order, s * 2^k <= _CORNER_BATCH unless s = 1.
+    Draws x, then y_1..y_k, for one cube after another, a batch of s cubes in one
+    call; yields (s * 2^k, n) arrays of them in mask order, s * 2^k <= _CORNER_BATCH unless s = 1.
     """
     per = max(1, _CORNER_BATCH >> k)
     for start in range(0, samples, per):
-        draws = [(sample_points(rng, p, n, 1), sample_points(rng, p, n, k))
-                 for _ in range(min(per, samples - start))]
-        corners = np.stack([x for x, _ in draws])
-        ys = np.stack([y for _, y in draws])
-        for j in range(k):
-            corners = np.concatenate([corners, (corners + ys[:, j, None, :]) % p], axis=1)
-        yield corners.reshape(len(draws) << k, n)
+        count = min(per, samples - start)
+        draws = sample_points(rng, p, n, count * (1 + k)).reshape(count, 1 + k, n)
+        corners = draws[:, :1]
+        for j in range(1, k + 1):
+            corners = np.concatenate([corners, (corners + draws[:, j, None]) % p], axis=1)
+        yield corners.reshape(count << k, n)
 
 
 def grlex_key(e: Monomial):
@@ -524,7 +528,7 @@ class LookupTable:
         """Values over all p^arity keys in graded order."""
         if not self.is_total():
             raise InputError("table does not cover all inputs")
-        return [self(k) for k in monomials_upto(self.arity, self.arity * (self.p - 1), self.p)]
+        return [self(k) for k in graded_points(self.p, self.arity).tolist()]
 
 
 def compose_gamma(table: LookupTable, polys: list[MultiPoly]):

@@ -18,10 +18,12 @@ from polystruct.ffpoly import (
     compose_gamma,
     compose_poly,
     count_monomials_upto,
+    cube_corners,
     _value_rows,
     derivative,
     derivative_family,
     functional_reduce,
+    graded_points,
     homogeneous_top,
     is_prime,
     monomials_upto,
@@ -60,6 +62,8 @@ def test_monomials_upto_matches_product_and_filter():
                     key=lambda e: (sum(e), e),
                 )
                 assert monomials_upto(n, budget, p) == naive, (p, n, budget)
+            got = graded_points(p, n)  # all of F_p^n, the last budget above
+            assert got.shape == (p**n, n) and list(map(tuple, got.tolist())) == naive, (p, n)
 
 
 def test_count_monomials_upto_matches_the_list_below_its_limit():
@@ -576,3 +580,30 @@ def test_value_rows_on_points_matches_per_polynomial_eval_points(case):
     assert got.dtype == want.dtype and got.shape == (len(polys), len(pts))
     assert got.tolist() == want.tolist()
     assert got.tolist() == [[naive_value(g, row) for row in pts.tolist()] for g in polys]
+
+
+def _corners_per_cube(rng, p, n, k, samples):
+    """Corners of each cube from its own draws: x, then y_1..y_k, one call each."""
+    corners = []
+    for _ in range(samples):
+        x = rng.integers(0, p, size=n).tolist()
+        ys = [rng.integers(0, p, size=n).tolist() for _ in range(k)]
+        for mask in range(1 << k):
+            chosen = [y for j, y in enumerate(ys) if mask >> j & 1]
+            corners.append([(v + sum(y[i] for y in chosen)) % p for i, v in enumerate(x)])
+    return corners
+
+
+CORNER_PRIMES = (2, 3, 2**31 - 1, 2**40 + 15, 2**62 + 135)
+
+
+# 600 cubes of order 5 span two batches of corners
+@pytest.mark.parametrize("p,n,k,samples", [
+    (p, n, k, 7) for p in CORNER_PRIMES for n in (0, 1, 3) for k in range(1, 6)
+] + [(p, n, 5, 600) for p in CORNER_PRIMES for n in (0, 3)])
+def test_cube_corners_follow_the_per_cube_draw_stream(p, n, k, samples):
+    batches = list(cube_corners(np.random.default_rng(samples + k), p, n, k, samples))
+    assert len(batches) == (2 if samples == 600 else 1)
+    assert all(b.dtype == np.int64 and b.shape[1] == n for b in batches)
+    got = np.concatenate(batches).tolist()
+    assert got == _corners_per_cube(np.random.default_rng(samples + k), p, n, k, samples)

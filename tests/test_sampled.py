@@ -2,9 +2,8 @@
 
 Each reference below draws from the same seeded generator in the same order
 as the estimator once did, evaluates one point at a time with its own
-arithmetic, and accumulates in sample order.  Outputs must be equal; the one
-exception is sampled_bias, whose phases are averaged by `mean` rather than
-summed one by one, so the sequential sum only agrees within 1e-12.
+arithmetic, and accumulates in sample order; a character average counts the
+values and sums count * e(v/p) over ascending v.  Outputs must be equal.
 """
 
 import cmath
@@ -28,6 +27,22 @@ ABOVE = Caps(enum_cap=1)  # p^n > 1 unless n = 0
 
 def _phase(v, p):
     return cmath.exp(2j * math.pi * v / p)
+
+
+def _counts_mean(values, p):
+    """(1/len) sum_v N_v e(v/p) from a Counter of the values, over ascending v."""
+    counter = Counter(values)
+    total = 0j
+    for v in sorted(counter):
+        total += counter[v] * _phase(v, p)
+    return total / len(values)
+
+
+def _sequential_mean(values, p):
+    total = 0j
+    for v in values:
+        total += _phase(v, p)
+    return total / len(values)
 
 
 def _cube(rng, p, n, k):
@@ -60,16 +75,10 @@ def test_sampled_bias_matches_a_per_point_loop(p, n):
         pts = np.random.default_rng(seed).integers(0, p, size=(samples, n))
         values = [naive_value(f, row) for row in pts]
         ours = sampled_bias(f, samples, seed)
-        # the same reduction over per-point values: equal
-        distinct, inverse = np.unique(np.array(values, dtype=object), return_inverse=True)
-        phases = np.array([_phase(int(v), p) for v in distinct])
-        mean = phases[inverse.astype(np.int64)].mean() if n else phases[0] + 0j
-        assert (ours.re, ours.im) == (float(mean.real), float(mean.imag))
+        assert ours.sample_count == samples
+        assert ours.as_complex() == _counts_mean(values, p)
         # the sequential sum of the per-point loop: within 1e-12
-        total = 0j
-        for v in values:
-            total += _phase(v, p)
-        assert abs(ours.as_complex() - total / samples) <= 1e-12
+        assert abs(ours.as_complex() - _sequential_mean(values, p)) <= 1e-12
 
 
 # (p, n, order, samples); the last two span two batches of cube corners
@@ -82,14 +91,17 @@ CUBE_CASES = [(p, n, 1, 50) for p, n in CASES] + [(p, n, 3, 120) for p, n in CAS
 def test_sampled_gowers_matches_a_per_point_loop(p, n, d, samples):
     f = _random_poly(np.random.default_rng(d + p), p, n)
     rng = np.random.default_rng(d)
-    total = 0j
+    sums = []
     for _ in range(samples):
         val = 0
         for m, pt in enumerate(_cube(rng, p, n, d)):
             val += (-1) ** (d - bin(m).count("1")) * naive_value(f, pt)
-        total += _phase(val % p, p)
-    want = max((total / samples).real, 0.0) ** (1.0 / (1 << d))
+        sums.append(val % p)
+    mean = _counts_mean(sums, p).real
+    want = max(mean, 0.0) ** (1.0 / (1 << d))
     assert gowers_norm(f, d, mode="sampled", samples=samples, seed=d) == want
+    # the sequential sum of the per-cube loop: within 1e-12
+    assert abs(mean - _sequential_mean(sums, p).real) <= 1e-12
 
 
 def test_sampled_gowers_sums_corners_exactly_over_a_62_bit_field():
