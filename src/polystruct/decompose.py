@@ -217,7 +217,7 @@ def exact_decompose(f: MultiPoly, s: int, config: DecomposeConfig | None = None)
 
 
 def quadratic_rank(f: MultiPoly) -> int | float:
-    """Rank of a degree <= 2 polynomial from its symmetric matrix (p odd).
+    """Rank of a degree <= 2 polynomial from its Hessian (p odd).
 
     Returns ceil(m/2) for matrix rank m of the quadratic part; degree <= 1
     polynomials follow the order-1 convention: 0 when constant, infinity
@@ -227,20 +227,10 @@ def quadratic_rank(f: MultiPoly) -> int | float:
         raise UnsupportedError("quadratic rank needs an odd prime (1/2 must exist)")
     if f.degree() > 2:
         raise PreconditionError(f"degree {f.degree()} > 2")
-    p, n = f.p, f.n
     quad = {e: c for e, c in f.terms.items() if sum(e) == 2}
     if not quad:
         return 0 if f.is_constant() else INFINITE_RANK
-    inv2 = pow(2, p - 2, p)
-    mat = [[0] * n for _ in range(n)]
-    for e, c in quad.items():
-        support = [i for i, v in enumerate(e) if v]
-        if len(support) == 1:
-            i = support[0]
-            mat[i][i] = (mat[i][i] + c) % p
-        else:
-            i, j = support
-            mat[i][j] = (mat[i][j] + c * inv2) % p
-            mat[j][i] = (mat[j][i] + c * inv2) % p
-    m = linalg.rank(mat, p)
-    return (m + 1) // 2
+    # c x^e has Hessian c(e e^T - diag e), twice its symmetric matrix: same rank, p odd
+    e, c = np.array(list(quad), dtype=object), np.array(list(quad.values()), dtype=object)
+    hessian = (c * e.T) @ e - np.diag(c @ e)
+    return (linalg.rank(hessian, f.p) + 1) // 2

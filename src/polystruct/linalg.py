@@ -1,7 +1,8 @@
 """Dense exact linear algebra over F_p, sized for desk-scale systems.
 
-Pivoting is deterministic: within each column the pivot is the first
-(lowest-index) row with a nonzero entry.
+Matrices are 2-D numpy arrays of residues: int64 while (p - 1)^2 < 2^63, else
+exact object ints.  A column's pivot is its first nonzero entry at or below the
+current row.
 """
 
 from __future__ import annotations
@@ -9,33 +10,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon form; returns (matrix, pivot column indices)."""
-    a = [[v % p for v in row] for row in rows]
-    if not a:
-        return a, []
-    m, ncols = len(a), len(a[0])
+def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of a 2-D int sequence (list of lists or array; [] is
+    one empty row); returns (array, pivot column indices)."""
+    a = np.array(rows, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object, ndmin=2) % p
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
             break
-        pivot = next((i for i in range(r, m) if a[i][c]), None)
-        if pivot is None:
+        below = a[r:, c].nonzero()[0]
+        if not len(below):
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                fac = a[i][c]
-                a[i] = [(vi - fac * vr) % p for vi, vr in zip(a[i], a[r])]
+        i = r + below[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a -= factors[:, None] * a[r]
+        a %= p
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
-def rank(rows: list[list[int]], p: int) -> int:
+def rank(rows, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
@@ -59,19 +58,16 @@ def ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of A x = rhs over F_p (free variables 0), or None."""
-    if not rows:
+def solve(rows, rhs, p: int) -> list[int] | None:
+    """One solution of A x = rhs over F_p as Python ints (free variables 0), or None:
+    inconsistent iff the rhs column of the augmented rows holds a pivot."""
+    if len(rows) == 0:
         return None
-    ncols = len(rows[0])
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, p)
-    for i, row in enumerate(red):
-        if all(v == 0 for v in row[:ncols]) and row[ncols] % p:
-            return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = red[r][ncols]
-    return x
-
+    n = len(rows[0])
+    augmented = np.column_stack([np.array(rows, dtype=object), np.array(rhs, dtype=object)])
+    red, pivots = rref(augmented, p)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=red.dtype)
+    x[pivots] = red[:len(pivots), n]
+    return x.tolist()

@@ -57,50 +57,19 @@ def table_of(f: MultiPoly, caps: Caps = DEFAULT_CAPS) -> TruthTable:
 def interpolate(table: TruthTable) -> MultiPoly:
     """The unique reduced polynomial (all exponents < p) with these values.
 
-    Solves the full evaluation system by naive Gauss-Jordan elimination.
+    Sums value(a) * prod_i (1 - (x_i - a_i)^(p-1)), the indicator of a, over
+    every point a; the x^k coefficient of one factor is [k = 0] - C(p-1, k) (-a)^(p-1-k).
     """
     p, n = table.p, table.n
-    monomials = list(_points(p, n))  # exponent vectors with entries < p
-    size = p ** n
-    rows = []
-    for x in _points(p, n):
-        row = []
-        for e in monomials:
-            v = 1
-            for xi, ei in zip(x, e):
-                for _ in range(ei):
-                    v = (v * xi) % p
-            row.append(v)
-        rows.append(row)
-    aug = [row + [val % p] for row, val in zip(rows, table.values)]
-    r = 0
-    for c in range(size):
-        pivot = None
-        for i in range(r, size):
-            if aug[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(size):
-            if i != r and aug[i][c] % p:
-                fac = aug[i][c]
-                aug[i] = [(a - fac * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    coeffs = [0] * size
-    col = 0
-    for i in range(r):
-        while col < size and aug[i][col] % p == 0:
-            col += 1
-        if col < size:
-            coeffs[col] = aug[i][size]
-            col += 1
-    ctx = FieldCtx(p)
-    terms = {e: c for e, c in zip(monomials, coeffs) if c % p}
-    return MultiPoly(ctx, n, terms)
+
+    def unit(k: int, a: int) -> int:
+        return (k == 0) - math.comb(p - 1, k) * pow(-a, p - 1 - k, p)
+
+    points = list(_points(p, n))
+    return MultiPoly(FieldCtx(p), n, {
+        e: sum(v * math.prod(map(unit, e, x)) for x, v in zip(points, table.values))
+        for e in points
+    })
 
 
 def oracle_bias(table: TruthTable) -> complex:

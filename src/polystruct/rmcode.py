@@ -124,6 +124,8 @@ class ListResult:
 def _list_hits(params: RMParams, center, radius, caps: Caps):
     """(grid, dist, hits): the grid, each codeword's distance to the center (table or
     MultiPoly), and the rows within the radius by distance, ties in grid order."""
+    if not math.isfinite(radius):
+        raise InputError(f"radius must be finite, got {radius}")
     size = params.p ** params.n
     if isinstance(center, MultiPoly):
         center = center.eval_table()
@@ -316,6 +318,10 @@ class CentersSpec:
     noisy_count: int = 100
     noise_rate: float = 0.3
     all_codewords: bool = False
+
+    def __post_init__(self):
+        if min(self.random_count, self.noisy_count) < 0 or not 0 <= self.noise_rate <= 1:
+            raise InputError("need center counts >= 0 and a noise rate in [0, 1]")
 
 
 @dataclass(frozen=True)

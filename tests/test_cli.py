@@ -293,3 +293,15 @@ def test_settable_values_are_pinned():
         "enum_cap", "search_cap", "codeword_cap", "unknowns_cap", "reduced_scan_cap"]
     assert [f.name for f in dataclasses.fields(DecomposeConfig)] == ["t", "retries", "seed", "caps"]
     assert [f.name for f in dataclasses.fields(RegularizeConfig)] == ["decompose"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rm", "listdecode", "--p", "3", "--n", "1", "--d", "1", "--center", "x1", "--radius", "nan"],
+    ["rm", "listdecode", "--p", "3", "--n", "1", "--d", "1", "--center", "x1", "--radius", "inf"],
+    ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--noise", "2"],
+    ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--noise", "nan"],
+    ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--random-centers", "-1"],
+])
+def test_out_of_range_rm_inputs_are_domain_errors(argv, capsys):
+    assert run(argv) == (EXIT_DOMAIN, "")
+    assert capsys.readouterr().err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Reed-Muller enumeration, list decoding, and the simplex toolkit."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -191,8 +192,6 @@ def test_weak_regularity_uniform_and_eps_one():
 
 def test_weak_regularity_iteration_bound_and_stopping():
     rng = np.random.default_rng(9)
-    import math
-
     for _ in range(20):
         eps = float(rng.choice([0.3, 0.5, 0.7]))
         raw = rng.random((9, 3))
@@ -301,6 +300,34 @@ def test_center_of_the_wrong_length_is_an_input_error():
         list_decode_brute(params, [0, 0, 0], 0.5)
     with pytest.raises(InputError):
         list_decode_brute(params, parse_poly("x1", 3, n=1), 0.5)
+
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_non_finite_radius_is_an_input_error(radius):
+    # a NaN radius would print "radius":NaN, which strict JSON parsers reject
+    params = RMParams(3, 2, 2)
+    with pytest.raises(InputError):
+        list_decode_brute(params, parse_poly("x1", 3, n=2), radius)
+    with pytest.raises(InputError):
+        rank_graph_reduction(params, parse_poly("x1", 3, n=2), radius, 1)
+
+
+@pytest.mark.parametrize("spec", [
+    {"random_count": -1}, {"noisy_count": -1}, {"noise_rate": -0.1}, {"noise_rate": 1.5},
+    {"noise_rate": math.nan}, {"noise_rate": math.inf},
+])
+def test_out_of_range_centers_are_input_errors(spec):
+    with pytest.raises(InputError):
+        CentersSpec(**spec)
+
+
+def test_noise_rates_at_the_ends_of_the_range_are_accepted():
+    for rate in (0.0, 1.0):
+        prof = list_size_profile(
+            RMParams(3, 1, 1), s=1, centers=CentersSpec(0, 3, rate), seed=2,
+        )
+        assert len(prof.rows) == 3
 
 
 @st.composite
