@@ -8,11 +8,15 @@ unknowns ordered degree-major (monomials in graded order, then generators).
 Elimination takes the leftmost pivots, so the solution with free unknowns at
 0 lies inside the smallest feasible degree prefix: the degree cap D is read
 off the solution, and returned certificates have minimal r, then minimal D.
+The matrix is built from exponent arrays.  Where p^n <= enum_cap, a query that
+is nonzero at a common zero of the generators returns None with no system built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
@@ -64,6 +68,26 @@ def _charge_search(n: int, p: int, d_max: int, r_max: int, caps: Caps) -> None:
     caps.require("unknowns_cap", count_monomials_upto(n, d_max, p, caps.unknowns_cap))
 
 
+def _system(generators, mons, p: int, n: int) -> tuple[list, np.ndarray]:
+    """Sorted support and coefficient matrix: column c*j + i holds reduce(x^mons[j] * P_i),
+    with each P_i reduced once, as reduce(m + e) = reduce(m + reduce(e)); zero rows dropped."""
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    c, m, terms = len(generators), len(mons), [functional_reduce(g).terms for g in generators]
+    sizes = [len(t) for t in terms]
+    gen_exps = np.array([e for t in terms for e in t], dtype=dtype).reshape(sum(sizes), n)
+    e = (np.array(mons, dtype=dtype).reshape(m, 1, n) + gen_exps).reshape(m * sum(sizes), n)
+    keys = list(map(tuple, np.where(e == 0, 0, (e - 1) % (p - 1) + 1).tolist()))
+    row_of = {k: r for r, k in enumerate(sorted(set(keys)))}  # faster than np.unique here
+    matrix = np.zeros((len(row_of), c * m), dtype=dtype)
+    cols = c * np.arange(m)[:, None] + np.repeat(np.arange(c), sizes)
+    coeffs = np.array([v for t in terms for v in t.values()], dtype=dtype)
+    np.add.at(matrix, (np.array([row_of[k] for k in keys], dtype=np.int64), cols.ravel()),
+              np.tile(coeffs, m))
+    matrix %= p
+    keep = (matrix != 0).any(axis=1)
+    return [k for k, kept in zip(row_of, keep) if kept], matrix[keep]
+
+
 def find_certificate(
     spec: IdealSpec, d_max: int, r_max: int, caps: Caps = DEFAULT_CAPS
 ) -> Certificate | None:
@@ -74,30 +98,24 @@ def find_certificate(
     """
     ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
     _charge_search(n, p, d_max, r_max, caps)
+    # p^n >= 2^(n * (bits(p) - 1)) is tested before p^n is built
+    enumerable = n * (p.bit_length() - 1) <= caps.enum_cap.bit_length() and p**n <= caps.enum_cap
+    if enumerable and not vanishes_on_variety(spec, caps):
+        return None  # Q(x) != 0 at a common zero x: Q^r = sum R_i P_i fails there for every r
     mons = monomials_upto(n, d_max, p)
     c = len(spec.generators)
-
-    # unknown c*j + i is the coefficient of x^mons[j] in R_i: its column is reduce(x^m * P_i)
-    columns = [
-        functional_reduce(MultiPoly(ctx, n, {m: 1}) * gen)
-        for m in mons for gen in spec.generators
-    ]
-    support = sorted({e for col in columns for e in col.terms})
-    row_of = {e: i for i, e in enumerate(support)}
-    matrix = [[0] * len(columns) for _ in support]
-    for u, col in enumerate(columns):
-        for e, coeff in col.terms.items():
-            matrix[row_of[e]][u] = coeff
+    support, matrix = _system(spec.generators, mons, p, n)
+    rows = set(support)
 
     target = functional_reduce(spec.query)
     power = target
     for r in range(1, r_max + 1):
         if r > 1:
             power = functional_reduce(power * target)
-        if not row_of.keys() >= power.terms.keys():
+        if not rows >= power.terms.keys():
             continue  # Q^r has a monomial no column reaches
         rhs = [power.terms.get(e, 0) for e in support]  # no rows: Q^r = 0, zero cofactors
-        solution = linalg.solve(matrix, rhs, p) if support else [0] * len(columns)
+        solution = linalg.solve(matrix.tolist(), rhs, p) if support else [0] * c * len(mons)
         if solution is None:
             continue
         cofactors = tuple(

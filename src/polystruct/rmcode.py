@@ -357,8 +357,10 @@ def list_size_profile(
     constant C reports whether max sizes stay within p^(C * n^(d-e)).
     """
     p, n, d = params.p, params.n, params.d
-    if d < 1:
-        raise InputError("profiles need d >= 1")
+    if d < 1 or s < 1:
+        raise InputError("profiles need d >= 1 and s >= 1")
+    if bound_constant is not None and not math.isfinite(bound_constant):
+        raise InputError(f"bound constant must be finite, got {bound_constant}")
     _, book = enumerate_codewords(params, caps)
     size = p ** n
     rng = np.random.default_rng(seed)

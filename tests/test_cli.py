@@ -301,6 +301,9 @@ def test_settable_values_are_pinned():
     ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--noise", "2"],
     ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--noise", "nan"],
     ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--random-centers", "-1"],
+    ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--s", "-3", "--random-centers", "2",
+     "--noisy-centers", "0"],
+    ["rm", "profile", "--p", "3", "--n", "1", "--d", "1", "--bound-constant", "nan"],
 ])
 def test_out_of_range_rm_inputs_are_domain_errors(argv, capsys):
     assert run(argv) == (EXIT_DOMAIN, "")

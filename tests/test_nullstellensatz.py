@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polystruct import linalg, oracle
+from polystruct import linalg, nullstellensatz, oracle
 from polystruct.config import Caps
 from polystruct.errors import CapExceeded, PolystructError
 from polystruct.ffpoly import (
@@ -21,6 +21,7 @@ from polystruct.ffpoly import (
 from polystruct.nullstellensatz import (
     IdealSpec,
     RadicalReport,
+    _system,
     find_certificate,
     radical_membership,
     vanishes_on_variety,
@@ -327,3 +328,103 @@ def test_radical_membership_matches_the_always_search_body(case):
     assert got == _outcome(_always_search_radical, spec, d_max, caps, direct_r_max)
     if not vanishes_on_variety(spec):  # a non-member: no solve, whatever is raised
         assert solve.call_count == 0
+
+
+# -- the array-built system against the MultiPoly column loop -----------------
+
+
+def _column_loop_system(generators, mons):
+    """(support, matrix) from one reduced MultiPoly per (monomial, generator) column."""
+    ctx, n = generators[0].ctx, generators[0].n
+    columns = [
+        functional_reduce(MultiPoly(ctx, n, {m: 1}) * gen)
+        for m in mons for gen in generators
+    ]
+    support = sorted({e for col in columns for e in col.terms})
+    row_of = {e: i for i, e in enumerate(support)}
+    matrix = [[0] * len(columns) for _ in support]
+    for u, col in enumerate(columns):
+        for e, coeff in col.terms.items():
+            matrix[row_of[e]][u] = coeff
+    return support, matrix
+
+
+BIG_PRIMES = [2**31 - 1, 2**61 - 1, 2**64 + 13]
+
+
+@st.composite
+def system_cases(draw):
+    """1-3 generators over small and huge p, n = 0..3, with exponents up to 2p, at p - 1
+    and p, and 10^30, zero and constant generators, and d_max in 0..3."""
+    p = draw(st.sampled_from([2, 3, 5, 7, *BIG_PRIMES]))
+    n = draw(st.integers(0, 3))
+    ctx = FieldCtx(p)
+    exponent = st.one_of(st.integers(0, 2 * p), st.sampled_from([p - 1, p, 10**30]))
+    term = st.tuples(st.tuples(*[exponent] * n), st.integers(0, p - 1))
+
+    def gen():
+        kind = draw(st.sampled_from(["terms", "terms", "terms", "zero", "constant"]))
+        if kind == "zero":
+            return MultiPoly.zero(ctx, n)
+        if kind == "constant":
+            return MultiPoly.constant(ctx, n, draw(st.integers(1, p - 1)))
+        return MultiPoly(ctx, n, dict(draw(st.lists(term, min_size=1, max_size=4))))
+
+    return [gen() for _ in range(draw(st.integers(1, 3)))], draw(st.integers(0, 3))
+
+
+def _gens(texts, p, n):
+    return [parse_poly(t, p, n=n) for t in texts.split(";")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(system_cases())
+@example((_gens("x1^2 + 2", 3, 1), 1))  # x1 * (x1^2 + 2) = 0: the row of x1 cancels
+@example((_gens("x1^3 + 2*x1 + x2;1", 3, 2), 0))  # a generator that reduces to x2
+@example((_gens("0", 5, 2), 2))  # no rows at all
+@example((_gens("2;0", 7, 0), 0))  # no variables
+@example(([MultiPoly(FieldCtx(2**64 + 13), 2, {(10**30, 2**64 + 12): 3})], 1))
+def test_array_system_matches_the_column_loop(case):
+    gens, d_max = case
+    p, n = gens[0].p, gens[0].n
+    mons = monomials_upto(n, d_max, p)
+    support, matrix = _system(gens, mons, p, n)
+    assert (support, matrix.tolist()) == _column_loop_system(gens, mons)
+    assert all(type(v) is int for e in support for v in e)
+
+
+@pytest.mark.parametrize("spec", [
+    IdealSpec([MultiPoly(FieldCtx(2**64 + 13), 1, {(10**30,): 1})],
+              MultiPoly(FieldCtx(2**64 + 13), 1, {(1,): 1, (0,): 1})),
+    IdealSpec([MultiPoly(FieldCtx(2**64 + 13), 2, {(2**64 + 12, 0): 1, (0, 10**30): 5}),
+               MultiPoly(FieldCtx(2**64 + 13), 2, {(0, 1): 1})],
+              MultiPoly.constant(FieldCtx(2**64 + 13), 2, 1)),
+])
+def test_huge_field_searches_find_nothing_without_overflow(spec):
+    # p - 1 > 2^63: the exponents and coefficients are exact object ints
+    for d_max in (0, 1, 2):
+        assert find_certificate(spec, d_max, r_max=2) is None
+
+
+# -- the screen: no search where Q is nonzero at a common zero ------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+@example((_spec("x1", "x2", 3, 2), 2, 2))  # Q = x2 is 1 at the common zero (0, 1)
+@example((_spec("x1^2 + 2", "1", 3, 1), 3, 1))  # the weak form with common zeros 1 and 2
+def test_the_screen_returns_what_the_unscreened_search_returns(case):
+    spec, d_max, r_max = case
+    p, n = spec.query.p, spec.query.n
+    with mock.patch.object(linalg, "solve", wraps=linalg.solve) as solve, \
+            mock.patch.object(nullstellensatz, "_system", wraps=_system) as system:
+        screened = find_certificate(spec, d_max, r_max)
+    if not vanishes_on_variety(spec):  # no system is built and nothing is solved
+        assert screened is None and solve.call_count == system.call_count == 0
+    # p^n above enum_cap: no screen and no CapExceeded, the search runs
+    with mock.patch.object(nullstellensatz, "_system", wraps=_system) as system, \
+            mock.patch.object(nullstellensatz, "vanishes_on_variety",
+                              wraps=vanishes_on_variety) as screen:
+        unscreened = find_certificate(spec, d_max, r_max, Caps(enum_cap=p**n - 1))
+    assert screen.call_count == 0 and system.call_count == 1
+    assert unscreened == screened

@@ -313,6 +313,15 @@ def test_non_finite_radius_is_an_input_error(radius):
         rank_graph_reduction(params, parse_poly("x1", 3, n=2), radius, 1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"s": 0}, {"s": -3}, {"bound_constant": math.nan}, {"bound_constant": math.inf},
+])
+def test_profile_needs_s_at_least_one_and_a_finite_bound_constant(kwargs):
+    # rho_e = 1 - e/p - p^-s is negative for s < 1; a NaN constant makes every bound false
+    with pytest.raises(InputError):
+        list_size_profile(RMParams(3, 1, 1), centers=CentersSpec(2, 0), **{"s": 1, **kwargs})
+
+
 @pytest.mark.parametrize("spec", [
     {"random_count": -1}, {"noisy_count": -1}, {"noise_rate": -0.1}, {"noise_rate": 1.5},
     {"noise_rate": math.nan}, {"noise_rate": math.inf},
