@@ -100,9 +100,10 @@ def gowers_norm(
             return exact_bias(f, caps).magnitude
         size = p ** n
         tables = f.eval_table().reshape(1, size)
-        shift = np.zeros((size, size), dtype=np.int64)  # shift[h, x] = index of x + h
-        for coord in np.indices((p,) * n).reshape(n, size):
-            shift = shift * p + (coord[:, None] + coord) % p
+        if d >= 3:  # the derivative loop below reads shift[h, x] = index of x + h
+            shift = np.zeros((size, size), dtype=np.int64)
+            for coord in np.indices((p,) * n).reshape(n, size):
+                shift = shift * p + (coord[:, None] + coord) % p
         for _ in range(d - 2):  # one row per direction tuple (h_1..h_j)
             tables = ((tables[:, shift] - tables[:, None, :]) % p).reshape(-1, size)
         values, inverse = np.unique(tables.ravel(), return_inverse=True)

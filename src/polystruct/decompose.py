@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedError,
 )
 from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, derivative_family, monomials_upto, sample_points,
+    LookupTable, MultiPoly, _value_rows, derivative_family, hessians, monomials_upto, sample_points,
 )
 
 INFINITE_RANK = float("inf")
@@ -230,7 +230,5 @@ def quadratic_rank(f: MultiPoly) -> int | float:
     quad = {e: c for e, c in f.terms.items() if sum(e) == 2}
     if not quad:
         return 0 if f.is_constant() else INFINITE_RANK
-    # c x^e has Hessian c(e e^T - diag e), twice its symmetric matrix: same rank, p odd
     e, c = np.array(list(quad), dtype=object), np.array(list(quad.values()), dtype=object)
-    hessian = (c * e.T) @ e - np.diag(c @ e)
-    return (linalg.rank(hessian, f.p) + 1) // 2
+    return (linalg.rank(hessians(e, c), f.p) + 1) // 2

@@ -24,11 +24,8 @@ from .errors import (
     PartialResultError,
     PreconditionError,
 )
-from .ffpoly import (
-    LookupTable, MultiPoly, _value_rows, cube_corners, graded_points, sample_points,
-)
+from .ffpoly import LookupTable, MultiPoly, _value_rows, cube_corners, sample_points
 
-_SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
 _MAX_ITERATIONS = 64  # regularization budget
 
 
@@ -133,10 +130,12 @@ def find_biased_combination(
     """First coefficient vector (graded order) whose combination reaches p^-s.
 
     Returns None when every nonzero combination stays below the threshold,
-    in which case the factor may be stamped regular at level s.  By
-    linearity the table of sum_i a_i h_i is A @ T mod p for the stacked
-    generator tables T, so chunks of vectors are scanned as one matrix
-    product with per-row value counts; no combination polynomial is built.
+    in which case the factor may be stamped regular at level s.  The biases
+    are the Fourier coefficients of the atom histogram: sum_x e(a.T(x)/p) =
+    sum_t N_t e(a.t/p), N_t the points in atom t of F_p^c.  One FFT of the p^c
+    cells screens every a, the 1e-9 slack covering its rounding of about
+    1e-15 * log(p^c); survivors are decided in graded order by bias_from_counts
+    on the exact counts sum_t N_t over a.t = v, so hits are exact.
     """
     if not factor.polys:
         return None
@@ -145,23 +144,16 @@ def find_biased_combination(
     size = p ** n
     caps.require("enum_cap", size)
     threshold = p ** (-s) - BIAS_TOL
-    dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
-    vectors = graded_points(p, c)[1:].astype(dtype)  # the nonzero ones
-    tables = _value_rows(factor.polys, size).astype(dtype, copy=False)
-    phases = np.exp(2j * np.pi * np.arange(p) / p)
-    rows = max(1, _SCAN_CHUNK // max(size, p))
-    for start in range(0, len(vectors), rows):
-        chunk = vectors[start:start + rows]
-        vals = np.asarray(chunk @ tables % p, dtype=np.int64)
-        offsets = p * np.arange(len(chunk), dtype=np.int64)[:, None]
-        counts = np.bincount((vals + offsets).ravel(), minlength=len(chunk) * p)
-        counts = counts.reshape(len(chunk), p)
-        # screen in floating point with slack, then decide with the exact helper
-        magnitudes = np.abs(counts @ phases) / size
-        for i in np.flatnonzero(magnitudes >= threshold - BIAS_TOL):
-            cs = bias_from_counts(range(p), counts[i], p, size)
-            if cs.magnitude >= threshold:
-                return tuple(chunk[i].tolist()), cs
+    cells = (p,) * c
+    grid = np.indices(cells).reshape(c, -1)  # every atom t, in lex order
+    hist = np.bincount(np.ravel_multi_index(_value_rows(factor.polys, size), cells), minlength=p**c)
+    magnitudes = np.abs(np.fft.fftn(hist.reshape(cells)).ravel()) / size
+    survivors = grid[:, 1:][:, magnitudes[1:] >= threshold - BIAS_TOL]  # a = 0 left out
+    for a in survivors.T[np.argsort(survivors.sum(axis=0), kind="stable")]:  # graded order
+        counts = np.bincount(a @ grid % p, hist, p)  # float64 sums of counts below 2^53: exact
+        cs = bias_from_counts(range(p), counts, p, size)
+        if cs.magnitude >= threshold:
+            return tuple(a.tolist()), cs
     return None
 
 

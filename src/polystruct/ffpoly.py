@@ -76,6 +76,12 @@ def graded_points(p: int, n: int) -> np.ndarray:
     return points[np.argsort(points.sum(axis=1), kind="stable")]
 
 
+def hessians(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unreduced Hessians of sum_q c[..., q] x^e[q], e degree-2 rows: c x^e has
+    c(e e^T - diag e), twice its symmetric matrix, so of the form's rank for p odd."""
+    return (c[..., None, :] * e.T) @ e - (c @ e)[..., None] * np.eye(e.shape[1], dtype=int)
+
+
 def graded_key(e: Monomial):
     """Graded order: sum of canonical lifts, then lexicographic."""
     return (sum(e), e)

@@ -96,12 +96,18 @@ def find_certificate(
     None is not an error: within small caps it cannot distinguish "no
     certificate exists" from "the degree caps are too small".
     """
-    ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
+    n, p = spec.query.n, spec.query.p
     _charge_search(n, p, d_max, r_max, caps)
     # p^n >= 2^(n * (bits(p) - 1)) is tested before p^n is built
     enumerable = n * (p.bit_length() - 1) <= caps.enum_cap.bit_length() and p**n <= caps.enum_cap
     if enumerable and not vanishes_on_variety(spec, caps):
         return None  # Q(x) != 0 at a common zero x: Q^r = sum R_i P_i fails there for every r
+    return _search(spec, d_max, r_max)
+
+
+def _search(spec: IdealSpec, d_max: int, r_max: int) -> Certificate | None:
+    """find_certificate after its charge and screen: one system, solved per r."""
+    ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
     mons = monomials_upto(n, d_max, p)
     c = len(spec.generators)
     support, matrix = _system(spec.generators, mons, p, n)
@@ -170,17 +176,16 @@ def radical_membership(
     generator 1 - y*Q in one extra variable.
     """
     ctx, n, p = spec.query.ctx, spec.query.n, spec.query.p
-    if not vanishes_on_variety(spec, caps):
-        _charge_search(n, p, d_max, direct_r_max, caps)
-        _charge_search(n + 1, p, d_max, 1, caps)
-        return RadicalReport(member=False, certificate=None, oracle_agrees=True,
-                             route="oracle-only")
-    cert = find_certificate(spec, d_max, r_max=direct_r_max, caps=caps)
-    route = "direct"
-    if cert is None:
+    member = vanishes_on_variety(spec, caps)  # the only screen: find_certificate's would repeat it
+    _charge_search(n, p, d_max, direct_r_max, caps)
+    cert = _search(spec, d_max, direct_r_max) if member else None
+    if cert is not None:
+        return RadicalReport(member=True, certificate=cert, oracle_agrees=True, route="direct")
+    _charge_search(n + 1, p, d_max, 1, caps)
+    if member:  # 1 - y*Q has no zero on V, where Q = 0, so this system has no common zero
         extended = [extend_variables(g, n + 1) for g in spec.generators]
         y, q = MultiPoly.variable(ctx, n + 1, n + 1), extend_variables(spec.query, n + 1)
         extended.append(MultiPoly.constant(ctx, n + 1, 1) - y * q)
-        cert = weak_certificate(extended, d_max, caps)
-        route = "rabinowitsch" if cert is not None else "oracle-only"
-    return RadicalReport(member=True, certificate=cert, oracle_agrees=True, route=route)
+        cert = _search(IdealSpec(extended, MultiPoly.constant(ctx, n + 1, 1)), d_max, 1)
+    route = "rabinowitsch" if cert is not None else "oracle-only"
+    return RadicalReport(member=member, certificate=cert, oracle_agrees=True, route=route)

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .config import Caps, DEFAULT_CAPS
 from .errors import InputError, PreconditionError, UnsupportedError
-from .ffpoly import FieldCtx, MultiPoly, count_monomials_upto, monomials_upto, points_lex
+from .ffpoly import FieldCtx, MultiPoly, count_monomials_upto, hessians, monomials_upto, points_lex
 
 FLOAT_TOL = 1e-9
 _PROFILE_BLOCK = 2**20  # distances (centers x codewords) scored at once by a profile
@@ -428,10 +428,7 @@ def rank_graph_reduction(
     coeffs = grid[hits].astype(np.int64)
     mons = np.array(monomials_upto(n, 2, p)).reshape(-1, n)
     degree = mons.sum(axis=1)
-    quad = mons[degree == 2]
-    # c x^e has Hessian c(e e^T - diag e), twice its symmetric matrix: same rank, p odd
-    shapes = quad[:, :, None] * (quad[:, None, :] - np.eye(n, dtype=np.int64))
-    hessian = np.einsum("mq,qij->mij", coeffs[:, degree == 2], shapes) % p
+    hessian = hessians(mons[degree == 2], coeffs[:, degree == 2]) % p
     linear = coeffs[:, degree == 1]
     covered, independent, max_close = np.zeros(m, dtype=bool), [], 0
     for i in range(m):

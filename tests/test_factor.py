@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polystruct import decompose as decompose_mod
 from polystruct import oracle
-from polystruct.bias import BIAS_TOL, exact_bias
+from polystruct.bias import BIAS_TOL, bias_from_counts, exact_bias
 from polystruct.config import Caps, DecomposeConfig, RegularizeConfig
 from polystruct.decompose import Decomposition, decomposition_error, quadratic_rank, INFINITE_RANK
 from polystruct.errors import CapExceeded, PartialResultError, PreconditionError
@@ -22,7 +22,8 @@ from polystruct.factor import (
     semantic_refines,
 )
 from polystruct.ffpoly import (
-    FieldCtx, LookupTable, MultiPoly, compose_poly, extend_variables, monomials_upto, parse_poly,
+    FieldCtx, LookupTable, MultiPoly, _value_rows, compose_poly, extend_variables, graded_points,
+    monomials_upto, parse_poly,
 )
 from util import naive_value, random_poly
 
@@ -285,7 +286,7 @@ def test_find_biased_combination_matches_naive_graded_scan(factor, s):
 
 
 def test_find_biased_combination_across_scan_chunks():
-    # 3^9 points exceed one scan chunk, so every vector is scanned in its own chunk
+    # p^n far above p^c: 3^9 points, 3^3 cells
     quad = parse_poly("x1*x2", 3, n=9)  # bias 1/3
     hit = PolynomialFactor([quad, parse_poly("x5", 3, n=9), parse_poly("x6", 3, n=9)])
     found = find_biased_combination(hit, 1)
@@ -295,6 +296,71 @@ def test_find_biased_combination_across_scan_chunks():
     miss = PolynomialFactor([parse_poly("x1", 3, n=9), parse_poly("x2", 3, n=9), wide])
     assert find_biased_combination(miss, 1) is None
     assert _naive_biased_combination(miss, 1) is None
+
+
+# -- the histogram FFT against the chunked A @ T scan it replaced -------------
+
+
+_SCAN_CHUNK = 1 << 14  # entries of A @ T (and of the counts) held per scan chunk
+
+
+def _chunked_scan(factor, s):
+    """Every nonzero vector in graded order, by chunks of rows of A @ T mod p with
+    per-row value counts: screened in floating point, decided by bias_from_counts."""
+    p, c, n = factor.p, factor.c, factor.n
+    size = p ** n
+    threshold = p ** (-s) - BIAS_TOL
+    dtype = np.int64 if c * (p - 1) ** 2 < 2**63 else object  # A @ T stays exact
+    vectors = graded_points(p, c)[1:].astype(dtype)
+    tables = _value_rows(factor.polys, size).astype(dtype, copy=False)
+    phases = np.exp(2j * np.pi * np.arange(p) / p)
+    rows = max(1, _SCAN_CHUNK // max(size, p))
+    for start in range(0, len(vectors), rows):
+        chunk = vectors[start:start + rows]
+        vals = np.asarray(chunk @ tables % p, dtype=np.int64)
+        offsets = p * np.arange(len(chunk), dtype=np.int64)[:, None]
+        counts = np.bincount((vals + offsets).ravel(), minlength=len(chunk) * p)
+        counts = counts.reshape(len(chunk), p)
+        magnitudes = np.abs(counts @ phases) / size
+        for i in np.flatnonzero(magnitudes >= threshold - BIAS_TOL):
+            cs = bias_from_counts(range(p), counts[i], p, size)
+            if cs.magnitude >= threshold:
+                return tuple(chunk[i].tolist()), cs
+    return None
+
+
+@st.composite
+def scan_factors(draw):
+    """c = 1..5 polynomials over F_p, p <= 11, n <= 4 and p^(c + n) <= 3^10 unless c = 1,
+    some of them repeats of earlier ones; every polynomial is a constant when n = 0."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(0, 4))
+    c = draw(st.integers(1, max(k for k in range(1, 6) if k == 1 or p ** (k + n) <= 3**10)))
+    ctx = FieldCtx(p)
+    polys = []
+    for _ in range(c):
+        if polys and draw(st.integers(0, 3)) == 0:
+            polys.append(draw(st.sampled_from(polys)))
+            continue
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            terms[tuple(draw(st.integers(0, 3)) for _ in range(n))] = draw(st.integers(1, p - 1))
+        polys.append(MultiPoly(ctx, n, terms))
+    return PolynomialFactor(polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_factors(), st.sampled_from([1, 2, 3]))
+@example(PolynomialFactor([parse_poly("x1*x2", 3)]), 1)  # bias exactly p^-s = 1/3
+@example(PolynomialFactor([parse_poly("x1*x2", 7)]), 1)  # 1/7, which the FFT rounds below 1/7
+@example(PolynomialFactor([parse_poly("x1*x2 + x3*x4", 5)]), 2)  # bias exactly 1/25
+@example(PolynomialFactor([parse_poly("2*x1", 5), parse_poly("x1", 5)]), 2)  # (2, 1) before (1, 3)
+@example(PolynomialFactor([parse_poly("x1*x2", 3)] * 2), 1)  # 1/3 at (0, 1) before 1 at (1, 2)
+@example(PolynomialFactor([parse_poly(t, 7, n=0) for t in ("2", "0", "2")]), 1)  # constants
+@example(PolynomialFactor([parse_poly("x1^2 + x2", 11)] * 2 + [parse_poly("x2", 11, n=2)]), 3)
+def test_histogram_scan_matches_the_chunked_scan(factor, s):
+    # the same first vector and a bit-for-bit equal CharacterSum, or None for both
+    assert find_biased_combination(factor, s) == _chunked_scan(factor, s)
 
 
 # -- atoms and the plurality vote against per-point references ---------------

@@ -330,6 +330,19 @@ def test_radical_membership_matches_the_always_search_body(case):
         assert solve.call_count == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(radical_cases())
+@example((_spec("x1^2", "x1", 5, 1), 2, Caps(), 1))  # a member by the Rabinowitsch route
+@example((_spec("x1^2", "x1", 5, 1), 1, Caps(), 1))  # a member with no certificate found
+@example((_spec("x1", "x2", 3, 2), 2, Caps(), 2))  # a non-member
+def test_radical_membership_enumerates_the_variety_once(case):
+    spec, d_max, caps, direct_r_max = case
+    with mock.patch.object(nullstellensatz, "vanishes_on_variety",
+                           wraps=vanishes_on_variety) as screen:
+        _outcome(radical_membership, spec, d_max, caps, direct_r_max)
+    assert screen.call_count == 1
+
+
 # -- the array-built system against the MultiPoly column loop -----------------
 
 
