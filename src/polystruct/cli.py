@@ -76,7 +76,6 @@ def _build_caps(args) -> Caps:
         search_cap=args.cap_search,
         codeword_cap=args.cap_codewords,
         unknowns_cap=args.cap_unknowns,
-        reduced_scan_cap=args.cap_reduced,
     )
 
 
@@ -402,7 +401,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap-search", type=int, default=Caps.search_cap)
     parser.add_argument("--cap-codewords", type=int, default=Caps.codeword_cap)
     parser.add_argument("--cap-unknowns", type=int, default=Caps.unknowns_cap)
-    parser.add_argument("--cap-reduced", type=int, default=Caps.reduced_scan_cap)
 
 
 @functools.lru_cache(maxsize=1)

@@ -15,7 +15,6 @@ class Caps:
     search_cap: int = 10**5        # linear-combination scan size (p^c)
     codeword_cap: int = 10**6      # Reed-Muller codewords enumerated
     unknowns_cap: int = 5000       # certificate unknowns per cofactor
-    reduced_scan_cap: int = 10**6  # reduced-space scan size (p^{c'})
 
     def __post_init__(self):
         for cap in fields(self):

@@ -530,6 +530,10 @@ class LookupTable:
             return all(self(k) == other(k) for k in points_lex(self.p, self.arity))
         return (self.entries, self.default) == (other.entries, other.default)
 
+    def __repr__(self) -> str:
+        return (f"LookupTable(p={self.p}, arity={self.arity}, "
+                f"entries={dict(sorted(self.entries.items()))}, default={self.default})")
+
     def to_flat(self) -> list[int]:
         """Values over all p^arity keys in graded order."""
         if not self.is_total():

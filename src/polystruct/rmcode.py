@@ -3,8 +3,9 @@ simplex-embedding toolkit (Fourier decomposition over centered line
 embeddings, greedy weak regularity).
 
 A code is one read-only pair of small-int arrays, its coefficient grid and
-its codebook of value tables; list decoding, profiles and the minimum
-distance are row-wise Hamming distances.  Only the members returned by
+its codebook of value tables, stored point-major; list decoding, profiles and
+the minimum distance are Hamming distances to blocks of targets, summed point
+by point down the stored book.  Only the members returned by
 list_decode_brute become MultiPolys: the rank graph works on grid rows.
 
 Functions F_p^n -> F_p are embedded into the probability simplex row by
@@ -60,23 +61,26 @@ class RMParams:
 def _codewords(params: RMParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (N, m) coefficient grid over monomials_upto(n, d, p), rows in
     itertools.product order, and (N, p^n) codebook of their value tables, in the
-    smallest unsigned dtype holding p - 1.  Each monomial t maps every book row r
-    to the p rows r + c*t mod p, c = 0..p-1, which keeps that order."""
+    smallest unsigned dtype holding p - 1: the transpose of a point-major array.
+    Each monomial t, taken in reverse, fills column block c with the columns so
+    far plus c*t mod p, so earlier monomials vary slower, as in the grid."""
     p, n = params.p, params.n
     mons = monomials_upto(n, params.d, p)
     dtype = np.min_scalar_type(p - 1)
     wide = np.min_scalar_type(2 * (p - 1))  # holds one sum before its reduction
     grid = np.indices((p,) * len(mons), dtype=dtype).reshape(len(mons), -1).T
-    book = np.zeros((1, p ** n), dtype=dtype)
-    for e in mons:
+    points = np.zeros((p ** n, p ** len(mons)), dtype=dtype)
+    width = 1
+    for e in reversed(mons):
         table = MultiPoly(params.ctx, n, {e: 1}).eval_table()
-        multiples = (np.arange(p)[:, None] * table % p).astype(wide)
-        book = book[:, None, :] + multiples
-        book %= p
-        book = book.astype(dtype, copy=False).reshape(-1, p ** n)
+        for c in range(1, p):
+            block = points[:, c * width:(c + 1) * width]
+            shift = (c * table % p).astype(wide)[:, None]
+            np.remainder(points[:, :width] + shift, p, out=block, casting="unsafe")
+        width *= p
     grid.flags.writeable = False
-    book.flags.writeable = False
-    return grid, book
+    points.flags.writeable = False
+    return grid, points.T
 
 
 def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
@@ -88,14 +92,20 @@ def enumerate_codewords(params: RMParams, caps: Caps = DEFAULT_CAPS):
     return _codewords(params)
 
 
-def _distances(book: np.ndarray, target) -> np.ndarray:
-    """Hamming distances from every codeword to one target table, (N,), or to each row
-    of a (B, p^n) block, (B, N), summed point by point over a point-major book copy."""
-    target = np.asarray(target, dtype=book.dtype)
-    if target.ndim < 2:
-        return np.count_nonzero(book != target, axis=1)
-    dist = np.zeros((len(target), len(book)), dtype=np.min_scalar_type(book.shape[1]))
-    for column, values in zip(np.ascontiguousarray(book.T), target.T):
+def _table(g, p: int, n: int) -> np.ndarray:
+    """g's value table: a MultiPoly's eval_table() or a raw table mod p, of shape (p^n,)."""
+    table = g.eval_table() if isinstance(g, MultiPoly) else np.asarray(g) % p
+    if table.shape != (p ** n,):
+        raise InputError(f"table has shape {table.shape}, expected ({p ** n},)")
+    return table
+
+
+def _distances(book: np.ndarray, targets) -> np.ndarray:
+    """(B, N) Hamming distances from each row of a (B, p^n) target block to every
+    codeword, summed point by point down the point-major book.T."""
+    targets = np.asarray(targets, dtype=book.dtype)
+    dist = np.zeros((len(targets), len(book)), dtype=np.min_scalar_type(book.shape[1]))
+    for column, values in zip(book.T, targets.T):
         dist += column != values[:, None]
     return dist
 
@@ -103,7 +113,7 @@ def _distances(book: np.ndarray, target) -> np.ndarray:
 def min_distance_empirical(params: RMParams, caps: Caps = DEFAULT_CAPS) -> Fraction:
     """min over nonzero codewords of Pr[f != 0]; equals 1 - d/p for d < p."""
     _, book = enumerate_codewords(params, caps)
-    weights = _distances(book, 0)
+    weights = _distances(book, np.zeros((1, book.shape[1]), book.dtype))[0]
     return Fraction(int(weights[weights > 0].min()), book.shape[1])
 
 
@@ -126,15 +136,10 @@ def _list_hits(params: RMParams, center, radius, caps: Caps):
     MultiPoly), and the rows within the radius by distance, ties in grid order."""
     if not math.isfinite(radius):
         raise InputError(f"radius must be finite, got {radius}")
-    size = params.p ** params.n
-    if isinstance(center, MultiPoly):
-        center = center.eval_table()
-    target = np.asarray(center) % params.p
-    if target.shape != (size,):
-        raise InputError(f"center table has shape {target.shape}, expected ({size},)")
+    target = _table(center, params.p, params.n)
     grid, book = enumerate_codewords(params, caps)
-    dist = _distances(book, target)
-    hits = np.flatnonzero(dist / size <= float(radius) + 1e-12)
+    dist = _distances(book, target[None])[0]
+    hits = np.flatnonzero(dist / len(target) <= float(radius) + 1e-12)
     return grid, dist, hits[np.argsort(dist[hits], kind="stable")]
 
 
@@ -195,13 +200,10 @@ class SimplexFunction:
 
     @classmethod
     def embed(cls, p: int, n: int, table) -> "SimplexFunction":
-        """p(g): one-hot rows for a field-valued function."""
-        size = p ** n
-        table = np.asarray(table) % p
-        if table.shape != (size,):
-            raise InputError(f"table has shape {table.shape}, expected ({size},)")
-        values = np.zeros((size, p))
-        values[np.arange(size), table] = 1.0
+        """p(g): one-hot rows for a field-valued function (MultiPoly or table)."""
+        table = _table(table, p, n)
+        values = np.zeros((len(table), p))
+        values[np.arange(len(table)), table] = 1.0
         return cls(p, n, values, "delta")
 
     def centered(self) -> "SimplexFunction":
@@ -234,11 +236,9 @@ def simplex_fourier(
     """
     if isinstance(g, MultiPoly):
         p, n = g.p, g.n
-        table = g.eval_table()
-    else:
-        if p is None or n is None:
-            raise InputError("raw tables need explicit p and n")
-        table = np.asarray(g) % p
+    elif p is None or n is None:
+        raise InputError("raw tables need explicit p and n")
+    table = _table(g, p, n)
     size = p ** n
     caps.require("enum_cap", size * (p - 1))
     slopes = np.indices((p,) * n).reshape(n, size).T  # every a, in lexicographic order
@@ -258,6 +258,8 @@ def fourier_reconstruct(
     """sum alpha[a, b] q(l_{a,b}): each coefficient lands on its line's entry per row."""
     size = p ** n
     keys = list(alphas)
+    if any(len(a) != n for a, _ in keys):
+        raise InputError(f"every slope needs {n} entries")
     slopes = np.array([a for a, _ in keys], dtype=np.int64).reshape(len(keys), n)
     offsets = np.array([b for _, b in keys], dtype=np.int64)
     coeffs = np.array([alphas[key] for key in keys], dtype=float)
@@ -283,10 +285,7 @@ def weak_regularity(
         raise PreconditionError("phi must live in the delta space")
     p, n = phi.p, phi.n
     size = p ** n
-    q_family = []
-    for member in family:
-        table = member.eval_table() if isinstance(member, MultiPoly) else member
-        q_family.append(SimplexFunction.embed(p, n, table=table).centered().values)
+    q_family = [SimplexFunction.embed(p, n, member).centered().values for member in family]
     centered = phi.values - 1.0 / p
     approx = np.zeros_like(centered)
     terms: list[tuple[int, float]] = []

@@ -79,7 +79,6 @@ def count_points_regularized(
         return VarietyReport(None, p ** n, 0, False, "regularized")
     regular = regularize(PolynomialFactor(generators), s, config)
     cprime = regular.c
-    caps.require("reduced_scan_cap", p ** cprime)
     caps.require("enum_cap", p ** n)
     _, ids = atom_ids(_value_rows(regular.polys, p ** n))
     values = _value_rows(generators, p ** n)

@@ -250,7 +250,7 @@ def test_empty_draws_over_a_field_above_int64_answer(argv, key, want):
 # -- the settable values: a new flag or config field fails here until it is recorded
 
 _COMMON = {"-h", "--help", "--p", "--n", "--seed", "--format", "--cap-enum", "--cap-search",
-           "--cap-codewords", "--cap-unknowns", "--cap-reduced"}
+           "--cap-codewords", "--cap-unknowns"}
 _OPTIONS = {
     "bias": {"--poly", "--mode", "--samples"},
     "gowers": {"--poly", "--d", "--mode", "--samples"},
@@ -290,7 +290,7 @@ def test_settable_values_are_pinned():
     want["rm"] = {"-h", "--help"}
     assert _subcommand_options(build_parser()) == want
     assert [f.name for f in dataclasses.fields(Caps)] == [
-        "enum_cap", "search_cap", "codeword_cap", "unknowns_cap", "reduced_scan_cap"]
+        "enum_cap", "search_cap", "codeword_cap", "unknowns_cap"]
     assert [f.name for f in dataclasses.fields(DecomposeConfig)] == ["t", "retries", "seed", "caps"]
     assert [f.name for f in dataclasses.fields(RegularizeConfig)] == ["decompose"]
 

@@ -65,6 +65,17 @@ def test_approx_decompose_quadratic_over_f5():
     assert decomposition_error(f, dec) == pytest.approx(dec.claimed_error, abs=1e-12)
 
 
+def test_decomposition_repr_is_the_same_for_two_fits():
+    # the table shows its entries in sorted key order, not an object address
+    for f in (parse_poly("x1*x2", 5), parse_poly("x1*x2*x3", 3)):
+        first, second = (approx_decompose(f, s=1, t=2, seed=3) for _ in range(2))
+        assert first.gamma is not second.gamma
+        assert repr(first) == repr(second)
+        assert "0x" not in repr(first)
+    table = LookupTable(3, 1, {(2,): 1, (0,): 2})
+    assert repr(table) == "LookupTable(p=3, arity=1, entries={(0,): 2, (2,): 1}, default=None)"
+
+
 def test_approx_decompose_takes_derivatives_of_the_reduced_polynomial():
     # x1^4*x2^3 is x1^2*x2 as a function on F_3^2; the degree that sizes the
     # coefficient vectors b is still the unreduced 7

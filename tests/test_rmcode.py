@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -121,6 +122,24 @@ def test_simplex_fourier_line_and_constant():
     rec = fourier_reconstruct(alphas0, 3, 1)
     target = SimplexFunction.embed(3, 1, table=(0, 0, 0)).centered()
     assert np.abs(rec.values - target.values).max() < 1e-9
+
+
+def test_tables_of_the_wrong_length_are_input_errors():
+    with pytest.raises(InputError):
+        simplex_fourier([0, 1, 2, 0], 3, 1)
+    with pytest.raises(InputError):
+        SimplexFunction.embed(3, 1, [0, 1])
+    with pytest.raises(InputError):
+        weak_regularity(SimplexFunction.embed(3, 1, [0, 1, 2]), [[0, 1]], 0.5)
+    with pytest.raises(InputError):
+        weak_regularity(SimplexFunction.embed(3, 1, [0, 1, 2]), [parse_poly("x1", 3, n=2)], 0.5)
+
+
+def test_slope_of_the_wrong_length_is_an_input_error():
+    with pytest.raises(InputError):
+        fourier_reconstruct({((0, 0), 1): 0.5}, 3, 1)
+    with pytest.raises(InputError):
+        fourier_reconstruct({((1,), 1): 0.5, ((0, 0), 1): 0.5}, 3, 1)
 
 
 def test_simplex_fourier_reconstruction_random():
@@ -292,6 +311,107 @@ def test_cached_codebook_is_read_only():
         grid[0, 0] = 1
     again = enumerate_codewords(params)
     assert again[0] is grid and again[1] is book
+
+
+def _row_major_codewords(params):
+    """The row-major build the point-major book replaced (reference): each monomial
+    t maps every book row r to the p rows r + c*t mod p, c = 0..p-1."""
+    p, n = params.p, params.n
+    mons = monomials_upto(n, params.d, p)
+    dtype = np.min_scalar_type(p - 1)
+    wide = np.min_scalar_type(2 * (p - 1))
+    grid = np.indices((p,) * len(mons), dtype=dtype).reshape(len(mons), -1).T
+    book = np.zeros((1, p ** n), dtype=dtype)
+    for e in mons:
+        table = MultiPoly(params.ctx, n, {e: 1}).eval_table()
+        multiples = (np.arange(p)[:, None] * table % p).astype(wide)
+        book = book[:, None, :] + multiples
+        book %= p
+        book = book.astype(dtype, copy=False).reshape(-1, p ** n)
+    return grid, book
+
+
+def _two_path_distances(book, target):
+    """The two-path distances the one point loop replaced (reference): one target
+    reduced along each row, a block summed over a point-major copy of the book."""
+    target = np.asarray(target, dtype=book.dtype)
+    if target.ndim < 2:
+        return np.count_nonzero(book != target, axis=1)
+    dist = np.zeros((len(target), len(book)), dtype=np.min_scalar_type(book.shape[1]))
+    for column, values in zip(np.ascontiguousarray(book.T), target.T):
+        dist += column != values[:, None]
+    return dist
+
+
+def _owners(array):
+    """The array and every array it is a view of."""
+    while array is not None:
+        yield array
+        array = array.base
+
+
+@st.composite
+def codebook_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, p - 1))
+    words = RMParams(p, n, d).codeword_count()
+    assume(words <= 15625)
+    kind = draw(st.sampled_from(["zero", "one", "several", "past block"]))
+    # a block past _PROFILE_BLOCK // N rows stays within 2^22 entries
+    assume(kind != "past block" or (rmcode._PROFILE_BLOCK // words + 1) * p ** n <= 2**22)
+    return (p, n, d), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(codebook_cases(), st.integers(0, 2**16))
+@example(((2, 1, 1), "zero"), 0)
+@example(((3, 2, 1), "past block"), 1)
+@example(((5, 2, 2), "one"), 2)
+@example(((5, 2, 2), "past block"), 3)
+@example(((7, 1, 3), "several"), 4)
+@example(((7, 3, 1), "zero"), 5)
+@example(((17, 1, 1), "several"), 6)  # c*t reaches 256, past the one-byte sum dtype
+def test_point_major_book_and_distances_match_the_row_major_build(case, seed):
+    (p, n, d), kind = case
+    params = RMParams(p, n, d)
+    grid, book = enumerate_codewords(params)
+    ref_grid, ref_book = _row_major_codewords(params)
+    assert grid.dtype == ref_grid.dtype and np.array_equal(grid, ref_grid)
+    assert book.dtype == ref_book.dtype and np.array_equal(book, ref_book)
+    assert book.T.flags.c_contiguous
+    assert not any(a.flags.writeable for a in _owners(book))
+
+    size, words = p ** n, len(book)
+    rows = {"zero": 1, "one": 1, "several": 5, "past block": rmcode._PROFILE_BLOCK // words + 1}
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, p, size=(rows[kind], size), dtype=book.dtype)
+    if kind == "zero":
+        targets[:] = 0
+    else:
+        picked = rng.integers(0, words, size=len(targets) // 2)
+        targets[:len(picked)] = book[picked]  # codewords among the targets: distance 0
+    dist = rmcode._distances(book, targets)
+    want = _two_path_distances(ref_book, targets)
+    assert dist.dtype == want.dtype and np.array_equal(dist, want)
+    if len(targets) == 1:
+        assert np.array_equal(dist[0], _two_path_distances(ref_book, targets[0]))
+    if kind == "zero":
+        weights = _two_path_distances(ref_book, 0)
+        assert min_distance_empirical(params) == Fraction(int(weights[weights > 0].min()), size)
+
+
+def test_distances_copy_no_part_of_the_book():
+    # a point-major copy of RM(2,10,1) would take 2 MiB; one scan holds far less
+    _, book = enumerate_codewords(RMParams(2, 10, 1))
+    targets = np.zeros((64, book.shape[1]), dtype=book.dtype)
+    tracemalloc.start()
+    try:
+        rmcode._distances(book, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < book.nbytes // 4
 
 
 def test_center_of_the_wrong_length_is_an_input_error():
